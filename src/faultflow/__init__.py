@@ -16,12 +16,7 @@ from .assembly import (
     assemble,
     coefficients_from_mode,
 )
-from .equidim import (
-    EquiDimSolution,
-    layer_tensor,
-    solve_equidim,
-    tensors_by_region,
-)
+from .equidim import EquiDimSolution, solve_equidim
 from .linsolve import (
     MixedSolution,
     PressureSchur,
@@ -104,7 +99,6 @@ __all__ = [
     "inject_p0",
     "interface_law_residuals",
     "l2_norm",
-    "layer_tensor",
     "load_config",
     "locate_cells",
     "parse_config",
@@ -113,6 +107,5 @@ __all__ = [
     "solve_saddle",
     "solve_schur",
     "sweep",
-    "tensors_by_region",
     "write_vtk",
 ]

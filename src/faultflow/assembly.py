@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sps
 
 from .fem import rt0_div_matrix, rt0_mass_matrix
-from .mesh import MeshError, MixedDimGeometry, SimplicialMesh
+from .mesh import SIDES, MeshError, MixedDimGeometry, SimplicialMesh
 
 __all__ = [
     "CoefficientSet",
@@ -38,9 +38,6 @@ __all__ = [
     "coefficients_from_mode",
     "assemble",
 ]
-
-SIDES = ("left", "right")
-FLUX_DOMAINS = ("matrix", "damage_left", "damage_right", "fault")
 
 
 def _per_cell(values, n: int, what: str) -> np.ndarray:
@@ -207,12 +204,8 @@ class BoundaryConditions:
     flux: dict[tuple[str, int], float] = field(default_factory=dict)
 
     def validate(self, geometry: MixedDimGeometry) -> None:
-        meshes = _domain_meshes(geometry)
-        plane_faces = {
-            int(f)
-            for s in SIDES
-            for f in geometry.matrix_damage[s].pairs[:, 0]
-        }
+        meshes = geometry.domains
+        external = set(geometry.external_faces("matrix").tolist())
         overlap = set(self.pressure) & set(self.flux)
         if overlap:
             dom, f = sorted(overlap)[0]
@@ -229,7 +222,7 @@ class BoundaryConditions:
                 raise MeshError(
                     f"face {f} of {dom} is not an external boundary face"
                 )
-            if dom == "matrix" and f in plane_faces:
+            if dom == "matrix" and f not in external:
                 raise MeshError(
                     f"matrix face {f} lies on the fault plane and cannot "
                     "carry boundary data"
@@ -260,15 +253,6 @@ class SourceField:
             {s: expand(damage[s], geometry.damage[s]) for s in SIDES},
             expand(self.fault, geometry.fault),
         )
-
-
-def _domain_meshes(geometry: MixedDimGeometry) -> dict[str, SimplicialMesh]:
-    return {
-        "matrix": geometry.matrix,
-        "damage_left": geometry.damage["left"],
-        "damage_right": geometry.damage["right"],
-        "fault": geometry.fault,
-    }
 
 
 FIELDS = (
@@ -413,13 +397,13 @@ def assemble(
     n_exchange = 2 * fault.n_cells
     exchange_offset = {"left": 0, "right": fault.n_cells}
 
-    # -- matrix/damage coupling: value +-1 per (face, damage cell) pair ----
+    # -- matrix/damage coupling: value 1 per (face, damage cell) pair -----
     rows, cols, vals = [], [], []
     for side in SIDES:
         imap = geometry.matrix_damage[side]
         rows.append(imap.pairs[:, 0])
         cols.append(imap.pairs[:, 1] + damage_cell_split[side].start)
-        vals.append(imap.orientation.astype(float))
+        vals.append(np.ones(len(imap)))
     G_matrix = sps.coo_array(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=(matrix.n_faces, nc_d["left"] + nc_d["right"]),
@@ -462,25 +446,18 @@ def assemble(
 
     # -- right-hand side ---------------------------------------------------
     f_matrix_src, f_damage_src, f_fault_src = sources.cell_integrals(geometry)
+    pressure = _by_domain(bc.pressure, geometry)
     g = {
-        "matrix": np.zeros(matrix.n_faces),
-        "damage_left": np.zeros(nf_d["left"]),
-        "damage_right": np.zeros(nf_d["right"]),
-        "fault": np.zeros(fault.n_faces),
+        dom: _weak_pressure_load(mesh, pressure[dom])
+        for dom, mesh in geometry.domains.items()
     }
-    meshes = _domain_meshes(geometry)
-    for (dom, f), value in bc.pressure.items():
-        mesh = meshes[dom]
-        g[dom][f] = -value * mesh.boundary_sign(f)
 
     # Pressure rows are the negated conservation statements (B carries
     # -div), so a source density q enters with a minus sign.
     rhs_parts = {
         "matrix_flux": g["matrix"],
         "matrix_pressure": -f_matrix_src,
-        "damage_flux": np.concatenate(
-            [g["damage_left"], g["damage_right"]]
-        ),
+        "damage_flux": np.concatenate([g[f"damage_{s}"] for s in SIDES]),
         "damage_pressure": -np.concatenate(
             [f_damage_src[s] for s in SIDES]
         ),
@@ -537,31 +514,51 @@ def assemble(
     return system
 
 
+def _by_domain(data: dict, geometry: MixedDimGeometry) -> dict[str, dict]:
+    """Split (domain, face) -> value data into face -> value per domain."""
+    out = {dom: {} for dom in geometry.domains}
+    for (dom, f), value in data.items():
+        out[dom][f] = value
+    return out
+
+
+def _weak_pressure_load(mesh: SimplicialMesh, pressure: dict) -> np.ndarray:
+    """Flux-row right-hand side of weakly imposed boundary pressures
+    (face -> value): -p on each listed face, since a boundary face's dof is
+    its outward net flux."""
+    g = np.zeros(mesh.n_faces)
+    if pressure:
+        g[list(pressure)] = -np.array(list(pressure.values()), dtype=float)
+    return g
+
+
+def _essential_flux_values(
+    mesh: SimplicialMesh, faces: np.ndarray, pressure: dict, flux: dict
+) -> np.ndarray:
+    """Imposed net-flux dof values on the boundary ``faces`` not listed in
+    ``pressure``, NaN where the dof stays free.  ``flux`` maps faces to
+    outward flux densities; unlisted faces default to zero flux."""
+    density = np.zeros(mesh.n_faces)
+    if flux:
+        density[list(flux)] = list(flux.values())
+    fixed = faces[~np.isin(faces, list(pressure))]
+    vals = np.full(mesh.n_faces, np.nan)
+    vals[fixed] = density[fixed] * mesh.face_measures[fixed]
+    return vals
+
+
 def _essential_values(
     geometry: MixedDimGeometry, bc: BoundaryConditions
 ) -> dict[str, np.ndarray]:
-    """Per-domain dense vectors of imposed net-flux dof values, NaN where
-    the dof stays free.  Unlisted external faces default to zero flux."""
-    meshes = _domain_meshes(geometry)
-    plane_faces = {
-        int(f) for s in SIDES for f in geometry.matrix_damage[s].pairs[:, 0]
+    """Per-domain imposed net-flux dof values on the external faces."""
+    pressure = _by_domain(bc.pressure, geometry)
+    flux = _by_domain(bc.flux, geometry)
+    return {
+        dom: _essential_flux_values(
+            mesh, geometry.external_faces(dom), pressure[dom], flux[dom]
+        )
+        for dom, mesh in geometry.domains.items()
     }
-    out = {}
-    for dom, mesh in meshes.items():
-        vals = np.full(mesh.n_faces, np.nan)
-        for f in mesh.boundary_faces():
-            f = int(f)
-            if dom == "matrix" and f in plane_faces:
-                continue
-            if (dom, f) in bc.pressure:
-                continue
-            density = bc.flux.get((dom, f), 0.0)
-            # dof value: net flux along the global normal
-            vals[f] = (
-                density * mesh.face_measures[f] * mesh.boundary_sign(f)
-            )
-        out[dom] = vals
-    return out
 
 
 def _eliminate_field(A, B, G, g, f_B, f_G, values: np.ndarray):
@@ -584,61 +581,32 @@ def _eliminate_field(A, B, G, g, f_B, f_G, values: np.ndarray):
 
 
 def _eliminate_essential(system: BlockSystem, bc: BoundaryConditions) -> None:
-    geometry = system.geometry
-    values = _essential_values(geometry, bc)
+    values = _essential_values(system.geometry, bc)
+    per_field = {
+        "matrix": values["matrix"],
+        "damage": np.concatenate([values[f"damage_{s}"] for s in SIDES]),
+        "fault": values["fault"],
+    }
     blocks = system.blocks
     rhs = system.rhs_parts
-
-    A, B, G, g = _eliminate_field(
-        blocks["A_matrix"],
-        blocks["B_matrix"],
-        blocks["G_matrix"],
-        rhs["matrix_flux"],
-        rhs["matrix_pressure"],
-        rhs["damage_pressure"],
-        values["matrix"],
-    )
-    blocks["A_matrix"], blocks["B_matrix"], blocks["G_matrix"] = A, B, G
-    rhs["matrix_flux"] = g
-
-    damage_values = np.concatenate(
-        [values["damage_left"], values["damage_right"]]
-    )
-    A, B, _, g = _eliminate_field(
-        blocks["A_damage"],
-        blocks["B_damage"],
-        None,
-        rhs["damage_flux"],
-        rhs["damage_pressure"],
-        None,
-        damage_values,
-    )
-    blocks["A_damage"], blocks["B_damage"] = A, B
-    rhs["damage_flux"] = g
-
-    A, B, _, g = _eliminate_field(
-        blocks["A_fault"],
-        blocks["B_fault"],
-        None,
-        rhs["fault_flux"],
-        rhs["fault_pressure"],
-        None,
-        values["fault"],
-    )
-    blocks["A_fault"], blocks["B_fault"] = A, B
-    rhs["fault_flux"] = g
-
     eliminated = {}
-    for dom, offset_name in (
-        ("matrix", "matrix_flux"),
-        ("damage_left", "damage_flux"),
-        ("damage_right", "damage_flux"),
-        ("fault", "fault_flux"),
-    ):
-        vals = values[dom]
-        base = system.offsets[offset_name].start
-        if dom == "damage_right":
-            base += system.damage_face_split["right"].start
+    for name, vals in per_field.items():
+        # only the matrix flux couples to a second pressure field
+        coupled = name == "matrix"
+        A, B, G, g = _eliminate_field(
+            blocks[f"A_{name}"],
+            blocks[f"B_{name}"],
+            blocks["G_matrix"] if coupled else None,
+            rhs[f"{name}_flux"],
+            rhs[f"{name}_pressure"],
+            rhs["damage_pressure"] if coupled else None,
+            vals,
+        )
+        blocks[f"A_{name}"], blocks[f"B_{name}"] = A, B
+        if coupled:
+            blocks["G_matrix"] = G
+        rhs[f"{name}_flux"] = g
+        base = system.offsets[f"{name}_flux"].start
         for f in np.flatnonzero(~np.isnan(vals)):
             eliminated[base + int(f)] = float(vals[f])
     system.eliminated = eliminated

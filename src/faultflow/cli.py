@@ -16,7 +16,7 @@ import sys
 from pathlib import Path
 
 from .linsolve import SolverError
-from .mesh import MeshError, import_mesh
+from .mesh import SIDES, MeshError, import_mesh
 from .scenarios import (
     ConfigError,
     bundled_config,
@@ -90,18 +90,12 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_check_mesh(args) -> int:
     geometry = import_mesh(args.mesh)
-    counts = {
-        "matrix": geometry.matrix,
-        "damage_left": geometry.damage["left"],
-        "damage_right": geometry.damage["right"],
-        "fault": geometry.fault,
-    }
-    for name, mesh in counts.items():
+    for name, mesh in geometry.domains.items():
         print(
             f"{name}: dim {mesh.dim}, {mesh.n_cells} cells, "
             f"{mesh.n_faces} faces"
         )
-    for side in ("left", "right"):
+    for side in SIDES:
         print(
             f"matrix/damage pairing ({side}): "
             f"{len(geometry.matrix_damage[side])} faces"

@@ -4,12 +4,6 @@ The reduced model replaces thin strips by lower-dimensional surfaces; this
 module solves the original problem with the strips kept at their physical
 width, on the layered mesh of ``build_layered_equidim_mesh``.  Comparing
 the two solutions measures the model error of the reduction.
-
-``layer_tensor`` rebuilds the anisotropic resistance of a strip from the
-reduced model's two coefficients: the interface (normal) resistance scaled
-back up by the thickness, and the tangential resistance scaled back down.
-When the reduced coefficients came from a plain scalar conductivity the
-tensor collapses to that scalar times the identity.
 """
 
 from __future__ import annotations
@@ -20,71 +14,18 @@ import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 
+from .assembly import (
+    _eliminate_field,
+    _essential_flux_values,
+    _weak_pressure_load,
+)
 from .fem import rt0_div_matrix, rt0_mass_matrix
 from .mesh import MeshError, SimplicialMesh
 
 __all__ = [
-    "layer_tensor",
-    "tensors_by_region",
     "EquiDimSolution",
     "solve_equidim",
 ]
-
-
-def layer_tensor(
-    interface_resist: float,
-    tangent_resist: float,
-    thickness: float,
-    normal,
-) -> np.ndarray:
-    """Resistance tensor of a strip of the given thickness whose reduced
-    description used ``interface_resist`` across and ``tangent_resist``
-    along: interface_resist * thickness in the normal direction,
-    tangent_resist / thickness tangentially."""
-    if thickness <= 0:
-        raise MeshError("strip thickness must be positive")
-    n = np.zeros(3)
-    n[: len(normal)] = normal
-    norm = np.linalg.norm(n)
-    if norm == 0:
-        raise MeshError("strip normal must be non-zero")
-    n /= norm
-    outer = np.outer(n, n)
-    return interface_resist * thickness * outer + (
-        tangent_resist / thickness
-    ) * (np.eye(3) - outer)
-
-
-def tensors_by_region(mesh: SimplicialMesh, table: dict) -> np.ndarray:
-    """Per-cell 3x3 resistance tensors from a region-name table.  Values
-    may be scalars, per-cell arrays over the region, or a single 3x3
-    tensor; every region of the mesh must be covered."""
-    if mesh.cell_regions is None:
-        raise MeshError("mesh carries no region labels")
-    out = np.zeros((mesh.n_cells, 3, 3))
-    seen = set()
-    for region, value in table.items():
-        cells = np.flatnonzero(mesh.cell_regions == region)
-        if len(cells) == 0:
-            raise MeshError(f"mesh has no cells in region {region!r}")
-        seen.add(region)
-        value = np.asarray(value, dtype=float)
-        if value.ndim == 0:
-            out[cells] = float(value) * np.eye(3)
-        elif value.shape == (3, 3):
-            out[cells] = value
-        elif value.shape == (len(cells),):
-            out[cells] = value[:, None, None] * np.eye(3)
-        elif value.shape == (len(cells), 3, 3):
-            out[cells] = value
-        else:
-            raise MeshError(
-                f"region {region!r} value has shape {value.shape}"
-            )
-    missing = set(np.unique(mesh.cell_regions)) - seen
-    if missing:
-        raise MeshError(f"regions {sorted(missing)} have no resistance")
-    return out
 
 
 @dataclass
@@ -118,36 +59,21 @@ def solve_equidim(
         raise MeshError(
             f"face {sorted(overlap)[0]} has both pressure and flux data"
         )
-    boundary = set(int(f) for f in mesh.boundary_faces())
+    boundary = mesh.boundary_faces()
+    on_boundary = set(boundary.tolist())
     for f in list(pressure_bc) + list(flux_bc):
-        if int(f) not in boundary:
+        if int(f) not in on_boundary:
             raise MeshError(f"face {f} is not a boundary face")
 
     A = rt0_mass_matrix(mesh, resist)
     B = sps.csr_array(-rt0_div_matrix(mesh))
-
-    g = np.zeros(mesh.n_faces)
-    for f, value in pressure_bc.items():
-        g[f] = -value * mesh.boundary_sign(int(f))
+    g = _weak_pressure_load(mesh, pressure_bc)
     q = np.asarray(source, dtype=float)
     if q.ndim == 0:
         q = np.full(mesh.n_cells, float(q))
     f_rhs = -q * mesh.cell_measures
-
-    fixed = np.full(mesh.n_faces, np.nan)
-    for f in boundary:
-        if f in pressure_bc:
-            continue
-        density = flux_bc.get(f, 0.0)
-        fixed[f] = density * mesh.face_measures[f] * mesh.boundary_sign(f)
-    mask = ~np.isnan(fixed)
-    vals = np.where(mask, fixed, 0.0)
-    keep = sps.diags_array((~mask).astype(float))
-    g -= A @ vals
-    g[mask] = vals[mask]
-    A = sps.csr_array(keep @ A @ keep + sps.diags_array(mask.astype(float)))
-    f_rhs -= B.T @ vals
-    B = sps.csr_array(keep @ B)
+    fixed = _essential_flux_values(mesh, boundary, pressure_bc, flux_bc)
+    A, B, _, g = _eliminate_field(A, B, None, g, f_rhs, None, fixed)
 
     system = sps.bmat(
         [[A, B], [B.T, None]], format="csc"

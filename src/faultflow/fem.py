@@ -24,125 +24,15 @@ import scipy.sparse as sps
 from .mesh import MeshError, SimplicialMesh
 
 __all__ = [
-    "rt0_local_mass",
-    "rt0_local_div",
-    "trace_term_local",
     "rt0_mass_matrix",
     "rt0_div_matrix",
     "rt0_eval_centroids",
-    "rt0_interpolate",
 ]
-
-
-def _as_weight_tensor(weight) -> np.ndarray:
-    w = np.asarray(weight, dtype=float)
-    if w.ndim == 0:
-        if w <= 0:
-            raise MeshError(f"weight must be positive, got {float(w)}")
-        return float(w) * np.eye(3)
-    if w.shape == (2, 2):
-        out = np.eye(3)
-        out[:2, :2] = w
-        w = out
-    if w.shape != (3, 3):
-        raise MeshError("tensor weight must be 2x2 or 3x3")
-    if not np.allclose(w, w.T, atol=1e-12 * max(1.0, np.abs(w).max())):
-        raise MeshError("weight tensor must be symmetric")
-    if np.linalg.eigvalsh(w).min() <= 0:
-        raise MeshError("weight tensor must be positive definite")
-    return w
-
-
-def _simplex_measure(verts: np.ndarray) -> float:
-    d = len(verts) - 1
-    if d == 1:
-        return float(np.linalg.norm(verts[1] - verts[0]))
-    if d == 2:
-        return float(
-            0.5 * np.linalg.norm(np.cross(verts[1] - verts[0],
-                                          verts[2] - verts[0]))
-        )
-    mat = np.stack([verts[i] - verts[0] for i in (1, 2, 3)])
-    return float(abs(np.linalg.det(mat)) / 6.0)
 
 
 def _bary_weights(d: int) -> np.ndarray:
     w = np.ones((d + 1, d + 1)) + np.eye(d + 1)
     return w / ((d + 1) * (d + 2))
-
-
-def rt0_local_mass(verts: np.ndarray, signs: np.ndarray, weight) -> np.ndarray:
-    """Local weighted flux mass matrix of one simplex.
-
-    Parameters
-    ----------
-    verts:
-        (d+1, 3) vertex coordinates (zero-padded below three components).
-    signs:
-        (d+1,) orientation of the cell on each local face, +1 when the
-        global face normal points out of the cell.
-    weight:
-        Positive scalar or symmetric positive definite tensor, the
-        inverse-permeability weight; constant on the cell.
-
-    Returns the symmetric positive definite (d+1, d+1) matrix of
-    int_K (W zeta_i) . zeta_j.
-    """
-    verts = np.asarray(verts, dtype=float)
-    if verts.ndim != 2:
-        raise MeshError("cell vertices must be a 2d array")
-    if verts.shape[1] < 3:
-        pad = np.zeros((verts.shape[0], 3))
-        pad[:, : verts.shape[1]] = verts
-        verts = pad
-    d = len(verts) - 1
-    signs = np.asarray(signs, dtype=float)
-    if signs.shape != (d + 1,):
-        raise MeshError("orientation signs must match the face count")
-    W = _as_weight_tensor(weight)
-    measure = _simplex_measure(verts)
-    diam = max(
-        np.linalg.norm(verts[i] - verts[j])
-        for i in range(d + 1)
-        for j in range(i)
-    )
-    if measure <= 1e-14 * diam**d:
-        raise MeshError("degenerate cell: measure vanishes")
-
-    D = verts[:, None, :] - verts[None, :, :]  # D[a, i] = v_a - v_i
-    E = np.einsum("xy,bjy->bjx", W, D)
-    M = np.einsum("aix,bjx,ab->ij", D, E, _bary_weights(d))
-    M *= np.outer(signs, signs)
-    M /= d * d * measure
-    return M
-
-
-def rt0_local_div(signs: np.ndarray) -> np.ndarray:
-    """Integrated divergence of each local basis function over the cell.
-
-    Entry i is the net outflow of basis i, which is exactly the orientation
-    sign: +1 if the global normal of local face i points out of the cell.
-    """
-    return np.asarray(signs, dtype=float).copy()
-
-
-def trace_term_local(face_measure: float, resistance: float) -> float:
-    """Robin penalty of one matrix face paired with a damage-layer cell.
-
-    The normal trace of the face's own basis function is 1/|F|, every other
-    basis vanishes on F, so the interface term contributes
-    ``resistance / face_measure`` to the diagonal flux entry of that face.
-    """
-    if face_measure <= 0:
-        raise MeshError("face measure must be positive")
-    if resistance < 0:
-        raise MeshError("interface resistance must be non-negative")
-    return resistance / face_measure
-
-
-# ---------------------------------------------------------------------- #
-#  mesh-level assembly of the same kernels (vectorized over cells)
-# ---------------------------------------------------------------------- #
 
 
 def _weights_per_cell(mesh: SimplicialMesh, weights) -> np.ndarray:
@@ -161,10 +51,9 @@ def _weights_per_cell(mesh: SimplicialMesh, weights) -> np.ndarray:
 
 
 def rt0_mass_matrix(mesh: SimplicialMesh, weights) -> sps.csr_array:
-    """Weighted flux mass matrix of a whole mesh (faces x faces).
-
-    Same integral as :func:`rt0_local_mass`, evaluated for all cells at once;
-    the two routes agree to rounding and are cross-checked in the tests.
+    """Weighted flux mass matrix of a whole mesh (faces x faces): the sum
+    over cells of int_K (W zeta_i) . zeta_j, all cells at once.  The tests
+    cross-check it against a per-cell oracle.
     """
     W = _weights_per_cell(mesh, weights)
     d = mesh.dim
@@ -212,20 +101,3 @@ def rt0_eval_centroids(mesh: SimplicialMesh, dofs: np.ndarray) -> np.ndarray:
         / (mesh.dim * mesh.cell_measures)[:, None, None]
     )
     return np.einsum("cf,cfx->cx", dofs[mesh.cell_faces], local)
-
-
-def rt0_interpolate(mesh: SimplicialMesh, field) -> np.ndarray:
-    """Net-flux interpolation of a vector field onto the RT0 dofs.
-
-    ``field`` is a constant 3-vector or a callable mapping (n, 3) points to
-    (n, 3) values; the flux integral over each face is approximated with the
-    field at the face centroid (exact for fields with linear normal trace).
-    """
-    fc = mesh.face_centroids()
-    if callable(field):
-        vals = np.asarray(field(fc), dtype=float)
-    else:
-        vals = np.broadcast_to(
-            np.asarray(field, dtype=float), (mesh.n_faces, 3)
-        )
-    return np.einsum("fx,fx->f", vals, mesh.face_normals) * mesh.face_measures

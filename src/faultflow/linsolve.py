@@ -16,7 +16,7 @@ Two routes to the same solution:
   (through the matrix flux space) and C_df (through the exchange dofs) tie
   the three pressure fields together.  The operator is applied matrix-free
   from sparse factorizations of the flux blocks and handed to conjugate
-  gradients with a lumped diagonal preconditioner.
+  gradients, Jacobi-scaled by the inverse of its lumped diagonal.
 
 Both routes recover all seven unknown fields; diagnostics below measure
 local conservation, the two interface laws, and the global budget.
@@ -180,8 +180,8 @@ class PressureSchur:
 
     def diagonal_estimate(self) -> np.ndarray:
         """Lumped diagonal of the reduced operator: every flux block is
-        replaced by its diagonal before forming the triple products.  Used
-        as a Jacobi preconditioner."""
+        replaced by its diagonal before forming the triple products.  Its
+        inverse is the Jacobi scaling of the conjugate gradients."""
         B = self.system.blocks
         inv = {
             "matrix": 1.0 / B["A_matrix"].diagonal(),
@@ -256,12 +256,14 @@ def solve_schur(
     system: BlockSystem,
     rtol: float = 1e-12,
     maxiter: int | None = None,
-    precondition: bool = True,
 ) -> tuple[MixedSolution, dict]:
-    """Solve through the pressure reduction with conjugate gradients.
+    """Solve through the pressure reduction with Jacobi-scaled conjugate
+    gradients (scaling from ``PressureSchur.diagonal_estimate``).
 
-    Returns the solution and a small report (iteration count, achieved
-    residual).  Raises SolverError when CG does not converge.
+    Stops at relative residual ``rtol`` or after ``maxiter`` iterations
+    (default 40 per pressure unknown).  Returns the solution and a small
+    report (iteration count, achieved residual).  Raises SolverError when
+    CG does not converge.
     """
     _require_anchor(system)
     schur = build_pressure_schur(system)
@@ -279,13 +281,12 @@ def solve_schur(
         count["n"] += 1
 
     M = None
-    if precondition:
-        diag = schur.diagonal_estimate()
-        if np.all(diag > 0):
-            inv = 1.0 / diag
-            M = spla.LinearOperator(
-                (schur.n, schur.n), matvec=lambda v: inv * v, dtype=float
-            )
+    diag = schur.diagonal_estimate()
+    if np.all(diag > 0):
+        inv = 1.0 / diag
+        M = spla.LinearOperator(
+            (schur.n, schur.n), matvec=lambda v: inv * v, dtype=float
+        )
     p, info = spla.cg(
         schur.operator(),
         r,
@@ -315,18 +316,20 @@ def solve_schur(
 # ---------------------------------------------------------------------------
 
 
+def _domain_field(solution: MixedSolution, domain: str, kind: str):
+    """The ``kind`` ("flux" or "pressure") dofs of one domain, by the
+    domain names of ``MixedDimGeometry.domains``."""
+    base, _, side = domain.partition("_")
+    values = getattr(solution, f"{base}_{kind}")
+    return values[side] if side else values
+
+
 def cell_velocities(system: BlockSystem, solution: MixedSolution):
     """Darcy velocity at every cell centroid, one array per domain."""
-    geometry = system.geometry
-    out = {
-        "matrix": rt0_eval_centroids(geometry.matrix, solution.matrix_flux),
-        "fault": rt0_eval_centroids(geometry.fault, solution.fault_flux),
+    return {
+        name: rt0_eval_centroids(mesh, _domain_field(solution, name, "flux"))
+        for name, mesh in system.geometry.domains.items()
     }
-    for side in SIDES:
-        out[f"damage_{side}"] = rt0_eval_centroids(
-            geometry.damage[side], solution.damage_flux[side]
-        )
-    return out
 
 
 def _row_scales(matrix: sps.csr_array, rows: slice) -> np.ndarray:
@@ -387,24 +390,11 @@ def global_balance(system: BlockSystem, solution: MixedSolution) -> float:
     """Total outward boundary flux minus total injected volume.  Zero for
     a conservative solution."""
     geometry = system.geometry
-    meshes = {
-        "matrix": (geometry.matrix, solution.matrix_flux),
-        "damage_left": (geometry.damage["left"], solution.damage_flux["left"]),
-        "damage_right": (
-            geometry.damage["right"],
-            solution.damage_flux["right"],
-        ),
-        "fault": (geometry.fault, solution.fault_flux),
-    }
-    plane = {
-        int(f) for s in SIDES for f in geometry.matrix_damage[s].pairs[:, 0]
-    }
+    # a boundary face's dof is its outward net flux
     outflow = 0.0
-    for dom, (mesh, flux) in meshes.items():
-        for f in mesh.boundary_faces():
-            if dom == "matrix" and int(f) in plane:
-                continue
-            outflow += flux[f] * mesh.boundary_sign(int(f))
+    for name in geometry.domains:
+        flux = _domain_field(solution, name, "flux")
+        outflow += float(np.sum(flux[geometry.external_faces(name)]))
 
     injected = sum(
         float(np.sum(arr)) for arr in system.source_integrals.values()

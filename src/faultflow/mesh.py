@@ -5,8 +5,11 @@ segment, triangle, and tetrahedral meshes share one container.  Faces are the
 codimension-one facets of the cells, derived at construction with a
 deterministic ordering (lexicographic in the sorted vertex tuple); the facet
 opposite local vertex ``i`` of a cell is local face ``i``.  Each face carries
-one global unit normal; the orientation sign of a cell on a face is +1 when
-the global normal points out of that cell.
+one global unit normal: the outward normal of the lowest-indexed cell on the
+face, which owns it.  The orientation sign of a cell on a face is +1 when the
+global normal points out of that cell, so the owner's sign is always +1.  A
+boundary face has only its owner, hence a boundary face's flux dof is its
+outward net flux.
 """
 
 from __future__ import annotations
@@ -30,6 +33,7 @@ __all__ = [
 ]
 
 GEOM_TOL = 1e-12
+SIDES = ("left", "right")
 
 
 class MeshError(Exception):
@@ -257,12 +261,6 @@ class SimplicialMesh:
             dtype=np.int64,
         )
 
-    def boundary_sign(self, face: int) -> int:
-        """Orientation of the global normal relative to outward (+1 = out)."""
-        cell = self.face_cells[face, 0]
-        local = np.flatnonzero(self.cell_faces[cell] == face)[0]
-        return int(self.cell_face_signs[cell, local])
-
     def validate(self, tol: float = GEOM_TOL) -> None:
         """Check the mesh invariants; raise MeshError on the first failure."""
         if np.any(self.cell_measures <= 0):
@@ -299,27 +297,19 @@ class InterfaceMap:
     lower-dimensional one.
 
     For matrix/damage maps the higher entity is a boundary face of the matrix
-    mesh; for damage/fault maps it is a damage-layer cell.  ``orientation``
-    holds, per pair, the sign of the fixed coupling normal (pointing from the
-    higher-dimensional domain towards the lower one) relative to the stored
-    global face normal.
+    mesh; for damage/fault maps it is a damage-layer cell.  A boundary
+    face's global normal points out of the matrix, towards the layer, so
+    the coupling needs no per-pair sign.
     """
 
     pairs: np.ndarray  # (n, 2) int: (higher_entity, lower_cell)
     side: str  # "left" | "right"
-    orientation: np.ndarray  # (n,) in {-1, +1}
 
     def __post_init__(self):
         pairs = np.asarray(self.pairs, dtype=np.int64).reshape(-1, 2)
-        orientation = np.asarray(self.orientation, dtype=np.int64).reshape(-1)
         object.__setattr__(self, "pairs", pairs)
-        object.__setattr__(self, "orientation", orientation)
-        if len(orientation) != len(pairs):
-            raise TopologyError("interface orientation length mismatch")
-        if self.side not in ("left", "right"):
+        if self.side not in SIDES:
             raise TopologyError(f"unknown interface side {self.side!r}")
-        if len(pairs) and not np.all(np.abs(orientation) == 1):
-            raise TopologyError("interface orientations must be +1 or -1")
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -341,15 +331,33 @@ class MixedDimGeometry:
     matrix_damage: dict[str, InterfaceMap]
     damage_fault: dict[str, InterfaceMap]
 
-    SIDES = ("left", "right")
+    @property
+    def domains(self) -> dict[str, SimplicialMesh]:
+        """The four meshes by domain name, in mesh-file order."""
+        return {
+            "matrix": self.matrix,
+            "damage_left": self.damage["left"],
+            "damage_right": self.damage["right"],
+            "fault": self.fault,
+        }
+
+    def external_faces(self, name: str) -> np.ndarray:
+        """Sorted boundary faces of domain ``name`` that take boundary data:
+        all of them, except the matrix faces paired with a damage layer on
+        the fault plane."""
+        faces = self.domains[name].boundary_faces()
+        if name == "matrix":
+            plane = [self.matrix_damage[s].pairs[:, 0] for s in SIDES]
+            faces = faces[~np.isin(faces, np.concatenate(plane))]
+        return faces
 
     def validate(self, tol: float = GEOM_TOL) -> None:
         """Check all coupling invariants; raise TopologyError on failure."""
         for mesh in (self.matrix, *self.damage.values(), self.fault):
             mesh.validate(tol)
-        if set(self.damage) != set(self.SIDES):
+        if set(self.damage) != set(SIDES):
             raise TopologyError("damage layers must cover sides left/right")
-        for side in self.SIDES:
+        for side in SIDES:
             dmesh = self.damage[side]
             if dmesh.dim != self.matrix.dim - 1:
                 raise TopologyError(
@@ -472,7 +480,7 @@ class MixedDimGeometry:
 
     def _check_internal_tags(self) -> None:
         internal = set()
-        for side in self.SIDES:
+        for side in SIDES:
             internal.update(self.matrix_damage[side].pairs[:, 0].tolist())
         internal_tags = set()
         for f in internal:
@@ -489,16 +497,6 @@ class MixedDimGeometry:
                     f"external matrix face {f} reuses internal-boundary tag "
                     f"{tag!r}"
                 )
-
-    def external_matrix_faces(self) -> np.ndarray:
-        """Matrix boundary faces that are not on the fault plane."""
-        on_plane = np.concatenate(
-            [self.matrix_damage[s].pairs[:, 0] for s in self.SIDES]
-        )
-        mask = np.ones(self.matrix.n_faces, dtype=bool)
-        mask[self.matrix.face_cells[:, 1] >= 0] = False
-        mask[on_plane] = False
-        return np.flatnonzero(mask)
 
 
 # ---------------------------------------------------------------------- #
@@ -575,28 +573,23 @@ def build_two_block_geometry(n_x: int, n_y: int) -> MixedDimGeometry:
         else:
             matrix.boundary_tags[int(f)] = "top"
 
-    damage = {s: _segment_mesh(n_y) for s in ("left", "right")}
+    damage = {s: _segment_mesh(n_y) for s in SIDES}
     fault = _segment_mesh(n_y)
 
     matrix_damage = {}
-    for side, direction in (("left", 1.0), ("right", -1.0)):
+    for side in SIDES:
         faces = matrix.faces_with_tag(f"plane_{side}")
         order = np.argsort(fc[faces, 1])
         faces = faces[order]
         # damage cells are already ordered by y
         pairs = np.column_stack([faces, np.arange(n_y)])
-        orientation = np.where(
-            matrix.face_normals[faces, 0] * direction > 0, 1, -1
-        )
-        matrix_damage[side] = InterfaceMap(pairs, side, orientation)
+        matrix_damage[side] = InterfaceMap(pairs, side)
 
     damage_fault = {
         side: InterfaceMap(
-            np.column_stack([np.arange(n_y), np.arange(n_y)]),
-            side,
-            np.ones(n_y, dtype=np.int64),
+            np.column_stack([np.arange(n_y), np.arange(n_y)]), side
         )
-        for side in ("left", "right")
+        for side in SIDES
     }
     geom = MixedDimGeometry(matrix, damage, fault, matrix_damage, damage_fault)
     geom.validate()
@@ -713,13 +706,17 @@ def build_layered_equidim_mesh(
 #  text mesh format
 # ---------------------------------------------------------------------- #
 
-_DOMAIN_NAMES = ("matrix", "damage_left", "damage_right", "fault")
 _INTERFACE_KEYS = {
     ("matrix", "damage_left"): ("matrix_damage", "left"),
     ("matrix", "damage_right"): ("matrix_damage", "right"),
     ("damage_left", "fault"): ("damage_fault", "left"),
     ("damage_right", "fault"): ("damage_fault", "right"),
 }
+# every domain ends some interface; in mesh-file order (that of
+# MixedDimGeometry.domains)
+_FILE_DOMAINS = tuple(
+    dict.fromkeys(name for ends in _INTERFACE_KEYS for name in ends)
+)
 
 
 def export_mesh(geometry: MixedDimGeometry, path) -> None:
@@ -729,15 +726,8 @@ def export_mesh(geometry: MixedDimGeometry, path) -> None:
     interface sections list ``p higher_entity lower_cell`` pairs, with face
     indices valid under the deterministic face derivation of SimplicialMesh.
     """
-    meshes = {
-        "matrix": geometry.matrix,
-        "damage_left": geometry.damage["left"],
-        "damage_right": geometry.damage["right"],
-        "fault": geometry.fault,
-    }
     lines = []
-    for name in _DOMAIN_NAMES:
-        mesh = meshes[name]
+    for name, mesh in geometry.domains.items():
         lines.append(f"[domain {name} dim={mesh.dim}]")
         for v in mesh.vertices:
             lines.append(
@@ -833,12 +823,12 @@ def import_mesh(path) -> MixedDimGeometry:
                     lineno,
                 )
 
-    missing = [n for n in _DOMAIN_NAMES if n not in domains]
+    missing = [n for n in _FILE_DOMAINS if n not in domains]
     if missing:
         raise MeshFormatError(f"missing domain section {missing[0]!r}")
 
     meshes = {}
-    for name in _DOMAIN_NAMES:
+    for name in _FILE_DOMAINS:
         sec = domains[name]
         if not sec["cells"]:
             raise MeshFormatError(f"domain {name!r} has no cells")
@@ -873,22 +863,14 @@ def import_mesh(path) -> MixedDimGeometry:
                 sec["line"],
             )
         pairs = np.array(sec["pairs"], dtype=np.int64).reshape(-1, 2)
-        if attr == "matrix_damage":
-            matrix = meshes["matrix"]
-            faces = pairs[:, 0]
-            if len(faces) and (
-                faces.min() < 0 or faces.max() >= matrix.n_faces
-            ):
-                raise TopologyError(
-                    f"matrix/damage map {side}: face index out of range"
-                )
-            orientation = np.array(
-                [matrix.boundary_sign(int(f)) for f in faces],
-                dtype=np.int64,
+        if attr == "matrix_damage" and len(pairs) and (
+            pairs[:, 0].min() < 0
+            or pairs[:, 0].max() >= meshes["matrix"].n_faces
+        ):
+            raise TopologyError(
+                f"matrix/damage map {side}: face index out of range"
             )
-        else:
-            orientation = np.ones(len(pairs), dtype=np.int64)
-        found[key] = InterfaceMap(pairs, side, orientation)
+        found[key] = InterfaceMap(pairs, side)
 
     for key in _INTERFACE_KEYS.values():
         if key not in found:
@@ -896,29 +878,20 @@ def import_mesh(path) -> MixedDimGeometry:
                 f"missing interface section for {key[0]} side {key[1]}"
             )
 
-    matrix = meshes["matrix"]
-    for side in ("left", "right"):
-        for f in found[("matrix_damage", side)].pairs[:, 0]:
-            matrix.boundary_tags[int(f)] = f"plane_{side}"
-    for f in matrix.boundary_faces():
-        if int(f) not in matrix.boundary_tags:
-            matrix.boundary_tags[int(f)] = "boundary"
-    for name in ("damage_left", "damage_right", "fault"):
-        mesh = meshes[name]
-        for f in mesh.boundary_faces():
-            mesh.boundary_tags[int(f)] = "boundary"
-
     geom = MixedDimGeometry(
-        matrix=matrix,
-        damage={"left": meshes["damage_left"], "right": meshes["damage_right"]},
+        matrix=meshes["matrix"],
+        damage={s: meshes[f"damage_{s}"] for s in SIDES},
         fault=meshes["fault"],
-        matrix_damage={
-            s: found[("matrix_damage", s)] for s in ("left", "right")
-        },
-        damage_fault={
-            s: found[("damage_fault", s)] for s in ("left", "right")
-        },
+        matrix_damage={s: found[("matrix_damage", s)] for s in SIDES},
+        damage_fault={s: found[("damage_fault", s)] for s in SIDES},
     )
+    matrix = geom.matrix
+    for side in SIDES:
+        for f in geom.matrix_damage[side].pairs[:, 0]:
+            matrix.boundary_tags[int(f)] = f"plane_{side}"
+    for mesh in geom.domains.values():
+        for f in mesh.boundary_faces():
+            mesh.boundary_tags.setdefault(int(f), "boundary")
     geom.validate()
     return geom
 
@@ -937,10 +910,10 @@ def _parse_section_header(line: str, lineno: int) -> dict:
                 "domain header must be '[domain <name> dim=<d>]'", lineno
             )
         name = parts[1]
-        if name not in _DOMAIN_NAMES:
+        if name not in _FILE_DOMAINS:
             raise MeshFormatError(
                 f"unknown domain {name!r} (expected one of "
-                f"{', '.join(_DOMAIN_NAMES)})",
+                f"{', '.join(_FILE_DOMAINS)})",
                 lineno,
             )
         try:

@@ -37,6 +37,7 @@ equi-dimensional reference and tabulates the model-error brackets.
 from __future__ import annotations
 
 import csv
+import math
 import os
 import re
 from dataclasses import dataclass, field, replace
@@ -56,6 +57,7 @@ from .assembly import (
 from .equidim import solve_equidim
 from .linsolve import (
     MixedSolution,
+    _domain_field,
     cell_velocities,
     conservation_residuals,
     global_balance,
@@ -212,9 +214,12 @@ class RunConfig:
 
 def _number(token: str, line: int, what: str) -> float:
     try:
-        return float(token)
+        value = float(token)
     except ValueError:
         raise ConfigError(f"line {line}: {what} {token!r} is not a number") from None
+    if not math.isfinite(value):
+        raise ConfigError(f"line {line}: {what} {token!r} is not finite")
+    return value
 
 
 def parse_config(text: str, name: str = "scenario",
@@ -235,6 +240,10 @@ def parse_config(text: str, name: str = "scenario",
                     f"line {lineno}: coeff needs a region and a value"
                 )
             region, value = parts[0], _number(parts[1], lineno, "value")
+            if value <= 0:
+                raise ConfigError(
+                    f"line {lineno}: coeff value must be positive"
+                )
             if region not in _COEFF_REGIONS:
                 raise ConfigError(
                     f"line {lineno}: unknown region {region!r} "
@@ -393,75 +402,8 @@ def build_geometry(config: RunConfig) -> MixedDimGeometry:
     return import_mesh(config.base_dir / config.mesh_path)
 
 
-def _coeff_targets(region: str):
-    if region == "matrix":
-        return [("matrix", None)]
-    if region == "fault":
-        return [("fault", None)]
-    if region == "damage":
-        return [("damage", s) for s in SIDES]
-    return [("damage", region.split("_", 1)[1])]
-
-
-def resolve_coefficients(
-    config: RunConfig, geometry: MixedDimGeometry
-) -> CoefficientSet:
-    tables = {
-        "matrix": np.full(geometry.matrix.n_cells, np.nan),
-        "fault": np.full(geometry.fault.n_cells, np.nan),
-        "damage": {
-            s: np.full(geometry.damage[s].n_cells, np.nan) for s in SIDES
-        },
-    }
-    centroids = {
-        "matrix": geometry.matrix.cell_centroids(),
-        "fault": geometry.fault.cell_centroids(),
-        "damage": {
-            s: geometry.damage[s].cell_centroids() for s in SIDES
-        },
-    }
-    for rule in config.coeff_rules:
-        for kind, side in _coeff_targets(rule.region):
-            table = tables[kind][side] if side else tables[kind]
-            points = (
-                centroids[kind][side] if side else centroids[kind]
-            )
-            mask = (
-                rule.predicate.mask(points)
-                if rule.predicate
-                else np.ones(len(table), dtype=bool)
-            )
-            table[mask] = rule.value
-    for kind in ("matrix", "fault"):
-        if np.any(np.isnan(tables[kind])):
-            raise ConfigError(
-                f"some {kind} cells have no coefficient; add a coeff "
-                f"{kind} line without a predicate first"
-            )
-    for s in SIDES:
-        if np.any(np.isnan(tables["damage"][s])):
-            raise ConfigError(
-                f"some damage_{s} cells have no coefficient; add a "
-                "coeff damage line without a predicate first"
-            )
-    return coefficients_from_mode(
-        geometry,
-        {
-            "matrix": tables["matrix"],
-            "damage": tables["damage"],
-            "fault": tables["fault"],
-        },
-        config.mode,
-        eps_mu=config.eps_mu,
-        eps_gamma=config.eps_gamma,
-    )
-
-
-def _bc_targets(domain: str):
-    if domain == "matrix":
-        return ["matrix"]
-    if domain == "fault":
-        return ["fault"]
+def _domain_targets(domain: str) -> list[str]:
+    """The geometry domains a coeff region or bc domain name stands for."""
     if domain == "damage":
         return [f"damage_{s}" for s in SIDES]
     if domain == "layers":
@@ -469,42 +411,68 @@ def _bc_targets(domain: str):
     return [domain]
 
 
+def _coefficient_table(rules, centroids, regions) -> np.ndarray:
+    """Conductivity per cell from the coeff rules, later rules overriding
+    earlier ones where their predicate matches.  ``regions`` labels every
+    cell with its domain name (matrix, damage_left, damage_right, fault)."""
+    k = np.full(len(regions), np.nan)
+    for rule in rules:
+        mask = np.isin(regions, _domain_targets(rule.region))
+        if rule.predicate:
+            mask &= rule.predicate.mask(centroids)
+        k[mask] = rule.value
+    uncovered = np.isnan(k)
+    if uncovered.any():
+        region = regions[np.argmax(uncovered)]
+        raise ConfigError(
+            f"some {region} cells have no coefficient; add a coeff "
+            f"{region} line without a predicate first"
+        )
+    return k
+
+
+def resolve_coefficients(
+    config: RunConfig, geometry: MixedDimGeometry
+) -> CoefficientSet:
+    meshes = geometry.domains
+    counts = [mesh.n_cells for mesh in meshes.values()]
+    k = _coefficient_table(
+        config.coeff_rules,
+        np.concatenate([mesh.cell_centroids() for mesh in meshes.values()]),
+        np.repeat(list(meshes), counts),
+    )
+    table = dict(zip(meshes, np.split(k, np.cumsum(counts)[:-1])))
+    return coefficients_from_mode(
+        geometry,
+        {
+            "matrix": table["matrix"],
+            "damage": {s: table[f"damage_{s}"] for s in SIDES},
+            "fault": table["fault"],
+        },
+        config.mode,
+        eps_mu=config.eps_mu,
+        eps_gamma=config.eps_gamma,
+    )
+
+
 def resolve_boundary_conditions(
     config: RunConfig, geometry: MixedDimGeometry
 ) -> BoundaryConditions:
-    meshes = {
-        "matrix": geometry.matrix,
-        "damage_left": geometry.damage["left"],
-        "damage_right": geometry.damage["right"],
-        "fault": geometry.fault,
-    }
-    plane = {
-        int(f) for s in SIDES for f in geometry.matrix_damage[s].pairs[:, 0]
-    }
-    external = {}
-    for dom, mesh in meshes.items():
-        faces = [int(f) for f in mesh.boundary_faces()]
-        if dom == "matrix":
-            faces = [f for f in faces if f not in plane]
-        external[dom] = faces
-
+    meshes = geometry.domains
+    external = {dom: geometry.external_faces(dom) for dom in meshes}
     bc = BoundaryConditions()
     for rule in config.bc_rules:
         matched = 0
-        for dom in _bc_targets(rule.domain):
-            mesh = meshes[dom]
+        for dom in _domain_targets(rule.domain):
+            faces = external[dom]
             if rule.tag and rule.tag != "boundary":
-                tagged = set(
-                    int(f) for f in mesh.faces_with_tag(rule.tag)
-                )
-                faces = [f for f in external[dom] if f in tagged]
+                tagged = meshes[dom].faces_with_tag(rule.tag)
+                faces = faces[np.isin(faces, tagged)]
             elif rule.predicate is not None:
-                mask = rule.predicate.mask(mesh.face_centroids())
-                faces = [f for f in external[dom] if mask[f]]
-            else:
-                faces = external[dom]
+                centroids = meshes[dom].face_centroids()[faces]
+                faces = faces[rule.predicate.mask(centroids)]
             matched += len(faces)
-            for f in faces:
+            for f in faces.tolist():
                 bc.pressure.pop((dom, f), None)
                 bc.flux.pop((dom, f), None)
                 if rule.kind == "pressure":
@@ -560,29 +528,18 @@ def _write_outputs(
     out_dir: Path, config: RunConfig, system, solution, diagnostics
 ) -> list[Path]:
     out_dir.mkdir(parents=True, exist_ok=True)
-    geometry = system.geometry
+    meshes = system.geometry.domains
     vels = cell_velocities(system, solution)
-    outputs = []
-    domains = {
-        "matrix": (geometry.matrix, solution.matrix_pressure, "matrix"),
-        "damage_left": (
-            geometry.damage["left"],
-            solution.damage_pressure["left"],
-            "damage_left",
-        ),
-        "damage_right": (
-            geometry.damage["right"],
-            solution.damage_pressure["right"],
-            "damage_right",
-        ),
-        "fault": (geometry.fault, solution.fault_pressure, "fault"),
+    pressures = {
+        name: _domain_field(solution, name, "pressure") for name in meshes
     }
-    for name, (mesh, pressure, vel_key) in domains.items():
+    outputs = []
+    for name, mesh in meshes.items():
         path = out_dir / f"{name}.vtk"
         write_vtk(
             path,
             mesh,
-            {"pressure": pressure, "velocity": vels[vel_key]},
+            {"pressure": pressures[name], "velocity": vels[name]},
             title=f"{config.name} {name}",
         )
         outputs.append(path)
@@ -593,18 +550,10 @@ def _write_outputs(
         ("solver", config.solver),
         ("eps_mu", _float_repr(config.eps_mu)),
         ("eps_gamma", _float_repr(config.eps_gamma)),
-        ("cells_matrix", geometry.matrix.n_cells),
-        ("cells_damage_left", geometry.damage["left"].n_cells),
-        ("cells_damage_right", geometry.damage["right"].n_cells),
-        ("cells_fault", geometry.fault.n_cells),
+        *((f"cells_{name}", mesh.n_cells) for name, mesh in meshes.items()),
         ("dofs", system.n_dofs),
     ]
-    for dom, values in (
-        ("matrix", solution.matrix_pressure),
-        ("damage_left", solution.damage_pressure["left"]),
-        ("damage_right", solution.damage_pressure["right"]),
-        ("fault", solution.fault_pressure),
-    ):
+    for dom, values in pressures.items():
         rows.append((f"p_{dom}_min", _float_repr(np.min(values))))
         rows.append((f"p_{dom}_max", _float_repr(np.max(values))))
         rows.append((f"p_{dom}_mean", _float_repr(np.mean(values))))
@@ -704,31 +653,9 @@ def equidim_reference(
         config.eps_mu, config.eps_gamma, eta=eta, eta_coarse=eta_coarse
     )
 
-    # conductivity table per cell, from the same rules
-    k = np.full(mesh.n_cells, np.nan)
-    centroids = mesh.cell_centroids()
-    regions = mesh.cell_regions
-    for rule in config.coeff_rules:
-        if rule.region == "matrix":
-            targets = regions == "matrix"
-        elif rule.region == "fault":
-            targets = regions == "fault"
-        elif rule.region == "damage":
-            targets = (regions == "damage_left") | (
-                regions == "damage_right"
-            )
-        else:
-            targets = regions == rule.region
-        mask = (
-            rule.predicate.mask(centroids)
-            if rule.predicate
-            else np.ones(mesh.n_cells, dtype=bool)
-        )
-        k[targets & mask] = rule.value
-    if np.any(np.isnan(k)):
-        raise ConfigError(
-            "the coeff rules leave reference cells uncovered"
-        )
+    k = _coefficient_table(
+        config.coeff_rules, mesh.cell_centroids(), mesh.cell_regions
+    )
     resist = _resist_from_table(k, config.mode)
 
     # boundary data: map each boundary face to its mixed-model home
@@ -755,7 +682,7 @@ def equidim_reference(
         dom, tag = face_home(f)
         assigned = None
         for rule in config.bc_rules:
-            if dom not in _bc_targets(rule.domain):
+            if dom not in _domain_targets(rule.domain):
                 continue
             if rule.tag and rule.tag != "boundary" and rule.tag != tag:
                 continue

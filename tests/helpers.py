@@ -5,14 +5,21 @@ and the fault core; its exact solution is one resistance chain.  The patch
 problem imposes a pressure linear along the fault, which every domain must
 reproduce without any exchange flow.  Both are closed forms the discrete
 scheme reproduces exactly on the aligned two-block grids.
+
+``rt0_local_mass`` and ``rt0_interpolate`` are the per-cell and per-face
+oracles the element-kernel tests compare the vectorized kernels against.
 """
 
 import numpy as np
 
 from faultflow.assembly import BoundaryConditions, CoefficientSet
-from faultflow.mesh import build_two_block_geometry
-
-SIDES = ("left", "right")
+from faultflow.fem import _bary_weights
+from faultflow.mesh import (
+    SIDES,
+    MeshError,
+    SimplicialMesh,
+    build_two_block_geometry,
+)
 
 
 def series_setup(n, interface_resist, exchange_resist,
@@ -96,19 +103,108 @@ def patch_setup(n_x, n_y, matrix_resist=2.0, damage_resist=None,
         damage_fault_resist=exchange_resist,
     )
     bc = BoundaryConditions()
-    plane = {
-        int(f) for s in SIDES for f in geometry.matrix_damage[s].pairs[:, 0]
-    }
-    mids = geometry.matrix.face_centroids()
-    for f in geometry.matrix.boundary_faces():
-        if int(f) not in plane:
-            bc.pressure[("matrix", int(f))] = float(mids[f, 1])
-    for dom, mesh in (
-        ("damage_left", geometry.damage["left"]),
-        ("damage_right", geometry.damage["right"]),
-        ("fault", geometry.fault),
-    ):
-        tips = mesh.face_centroids()
-        for f in mesh.boundary_faces():
-            bc.pressure[(dom, int(f))] = float(tips[f, 1])
+    for dom, mesh in geometry.domains.items():
+        mids = mesh.face_centroids()
+        for f in geometry.external_faces(dom):
+            bc.pressure[(dom, int(f))] = float(mids[f, 1])
     return geometry, coeff, bc
+
+
+def _as_weight_tensor(weight) -> np.ndarray:
+    w = np.asarray(weight, dtype=float)
+    if w.ndim == 0:
+        if w <= 0:
+            raise MeshError(f"weight must be positive, got {float(w)}")
+        return float(w) * np.eye(3)
+    if w.shape == (2, 2):
+        out = np.eye(3)
+        out[:2, :2] = w
+        w = out
+    if w.shape != (3, 3):
+        raise MeshError("tensor weight must be 2x2 or 3x3")
+    if not np.allclose(w, w.T, atol=1e-12 * max(1.0, np.abs(w).max())):
+        raise MeshError("weight tensor must be symmetric")
+    if np.linalg.eigvalsh(w).min() <= 0:
+        raise MeshError("weight tensor must be positive definite")
+    return w
+
+
+def _simplex_measure(verts: np.ndarray) -> float:
+    d = len(verts) - 1
+    if d == 1:
+        return float(np.linalg.norm(verts[1] - verts[0]))
+    if d == 2:
+        return float(
+            0.5 * np.linalg.norm(np.cross(verts[1] - verts[0],
+                                          verts[2] - verts[0]))
+        )
+    mat = np.stack([verts[i] - verts[0] for i in (1, 2, 3)])
+    return float(abs(np.linalg.det(mat)) / 6.0)
+
+
+def _bary_weights(d: int) -> np.ndarray:
+    w = np.ones((d + 1, d + 1)) + np.eye(d + 1)
+    return w / ((d + 1) * (d + 2))
+
+
+def rt0_local_mass(verts: np.ndarray, signs: np.ndarray, weight) -> np.ndarray:
+    """Local weighted flux mass matrix of one simplex.
+
+    Parameters
+    ----------
+    verts:
+        (d+1, 3) vertex coordinates (zero-padded below three components).
+    signs:
+        (d+1,) orientation of the cell on each local face, +1 when the
+        global face normal points out of the cell.
+    weight:
+        Positive scalar or symmetric positive definite tensor, the
+        inverse-permeability weight; constant on the cell.
+
+    Returns the symmetric positive definite (d+1, d+1) matrix of
+    int_K (W zeta_i) . zeta_j.
+    """
+    verts = np.asarray(verts, dtype=float)
+    if verts.ndim != 2:
+        raise MeshError("cell vertices must be a 2d array")
+    if verts.shape[1] < 3:
+        pad = np.zeros((verts.shape[0], 3))
+        pad[:, : verts.shape[1]] = verts
+        verts = pad
+    d = len(verts) - 1
+    signs = np.asarray(signs, dtype=float)
+    if signs.shape != (d + 1,):
+        raise MeshError("orientation signs must match the face count")
+    W = _as_weight_tensor(weight)
+    measure = _simplex_measure(verts)
+    diam = max(
+        np.linalg.norm(verts[i] - verts[j])
+        for i in range(d + 1)
+        for j in range(i)
+    )
+    if measure <= 1e-14 * diam**d:
+        raise MeshError("degenerate cell: measure vanishes")
+
+    D = verts[:, None, :] - verts[None, :, :]  # D[a, i] = v_a - v_i
+    E = np.einsum("xy,bjy->bjx", W, D)
+    M = np.einsum("aix,bjx,ab->ij", D, E, _bary_weights(d))
+    M *= np.outer(signs, signs)
+    M /= d * d * measure
+    return M
+
+
+def rt0_interpolate(mesh: SimplicialMesh, field) -> np.ndarray:
+    """Net-flux interpolation of a vector field onto the RT0 dofs.
+
+    ``field`` is a constant 3-vector or a callable mapping (n, 3) points to
+    (n, 3) values; the flux integral over each face is approximated with the
+    field at the face centroid (exact for fields with linear normal trace).
+    """
+    fc = mesh.face_centroids()
+    if callable(field):
+        vals = np.asarray(field(fc), dtype=float)
+    else:
+        vals = np.broadcast_to(
+            np.asarray(field, dtype=float), (mesh.n_faces, 3)
+        )
+    return np.einsum("fx,fx->f", vals, mesh.face_normals) * mesh.face_measures

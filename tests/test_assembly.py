@@ -13,6 +13,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from faultflow.assembly import (
+    SIDES,
     BoundaryConditions,
     CoefficientSet,
     SourceField,
@@ -21,8 +22,6 @@ from faultflow.assembly import (
 )
 from faultflow.mesh import MeshError, build_two_block_geometry
 from helpers import series_setup, series_solution_vector
-
-SIDES = ("left", "right")
 
 
 # ---------------------------------------------------------------------------
@@ -499,11 +498,7 @@ def test_eliminated_dofs_record_imposed_values():
     system = assemble(geometry, coeff, bc)
 
     dof = system.offsets["matrix_flux"].start + top
-    expected = (
-        2.5
-        * geometry.matrix.face_measures[top]
-        * geometry.matrix.boundary_sign(top)
-    )
+    expected = 2.5 * geometry.matrix.face_measures[top]
     assert system.eliminated[dof] == pytest.approx(expected, rel=1e-14)
     assert system.rhs[dof] == pytest.approx(expected, rel=1e-14)
     row = system.matrix[[dof], :].toarray().ravel()

@@ -66,10 +66,20 @@ def test_missing_config_exits_1(tmp_path, capsys):
 
 
 def test_config_error_exits_1_with_line(tmp_path, capsys):
-    path = tmp_path / "bad.cfg"
-    path.write_text("geometry two_block\nnx 4\nny 4\nfrobnicate 1\n")
-    assert main(["run", str(path)]) == 1
-    assert "line 4" in capsys.readouterr().err
+    # bad numbers are refused at parse time, not by the solve
+    for bad in (
+        "frobnicate 1",
+        "nx 1e400",
+        "nx nan",
+        "eps_mu nan",
+        "bc pressure nan on matrix:left",
+        "coeff fault inf",
+        "coeff matrix -1",
+    ):
+        path = tmp_path / "bad.cfg"
+        path.write_text(f"geometry two_block\nnx 4\nny 4\n{bad}\n")
+        assert main(["run", str(path)]) == 1, bad
+        assert "line 4" in capsys.readouterr().err, bad
 
 
 def test_unsolvable_scenario_exits_2(tmp_path, capsys):

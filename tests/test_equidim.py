@@ -3,62 +3,8 @@
 import numpy as np
 import pytest
 
-from faultflow.equidim import (
-    layer_tensor,
-    solve_equidim,
-    tensors_by_region,
-)
+from faultflow.equidim import solve_equidim
 from faultflow.mesh import MeshError, build_layered_equidim_mesh
-
-
-def test_layer_tensor_recovers_isotropic_strip():
-    # interface resistance 1e4 across, tangential resistance 1 along, at
-    # thickness 1e-2: both directions come back to 100
-    t = layer_tensor(1e4, 1.0, 1e-2, normal=(1.0, 0.0))
-    assert np.allclose(t[:2, :2], 100.0 * np.eye(2), rtol=1e-14)
-
-    # anisotropic strip: the normal and tangent parts separate
-    t = layer_tensor(8.0, 3.0, 0.5, normal=(0.0, 1.0))
-    assert t[1, 1] == pytest.approx(4.0)
-    assert t[0, 0] == pytest.approx(6.0)
-    assert t[0, 1] == pytest.approx(0.0)
-
-    with pytest.raises(MeshError):
-        layer_tensor(1.0, 1.0, 0.0, normal=(1.0, 0.0))
-    with pytest.raises(MeshError):
-        layer_tensor(1.0, 1.0, 1.0, normal=(0.0, 0.0))
-
-
-def test_region_table_expansion_and_validation():
-    mesh = build_layered_equidim_mesh(0.2, 0.1, eta=0.05, eta_coarse=0.25)
-    tensors = tensors_by_region(
-        mesh,
-        {
-            "matrix": 1.0,
-            "damage_left": np.diag([2.0, 3.0, 1.0]),
-            "damage_right": 4.0,
-            "fault": 5.0,
-        },
-    )
-    assert tensors.shape == (mesh.n_cells, 3, 3)
-    fault_cells = np.flatnonzero(mesh.cell_regions == "fault")
-    assert np.allclose(tensors[fault_cells], 5.0 * np.eye(3))
-    left = np.flatnonzero(mesh.cell_regions == "damage_left")
-    assert np.allclose(tensors[left][:, 0, 0], 2.0)
-
-    with pytest.raises(MeshError, match="have no resistance"):
-        tensors_by_region(mesh, {"matrix": 1.0})
-    with pytest.raises(MeshError, match="no cells in region"):
-        tensors_by_region(
-            mesh,
-            {
-                "matrix": 1.0,
-                "damage_left": 1.0,
-                "damage_right": 1.0,
-                "fault": 1.0,
-                "halo": 1.0,
-            },
-        )
 
 
 def boundary_bc(mesh, left_value, right_value):
@@ -86,15 +32,8 @@ def test_three_strip_series_matches_hand_computation():
     mesh = build_layered_equidim_mesh(
         eps_mu, eps_gamma, eta=eps_gamma / 2.0, eta_coarse=0.25
     )
-    tensors = tensors_by_region(
-        mesh,
-        {
-            "matrix": 1.0,
-            "damage_left": 100.0,
-            "damage_right": 100.0,
-            "fault": 100.0,
-        },
-    )
+    per_cell = np.where(mesh.cell_regions == "matrix", 1.0, 100.0)
+    tensors = per_cell[:, None, None] * np.eye(3)
     solution = solve_equidim(
         mesh, tensors, pressure_bc=boundary_bc(mesh, 0.0, 1.0)
     )

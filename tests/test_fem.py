@@ -10,16 +10,9 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from faultflow.fem import (
-    rt0_eval_centroids,
-    rt0_interpolate,
-    rt0_local_div,
-    rt0_local_mass,
-    rt0_mass_matrix,
-    rt0_div_matrix,
-    trace_term_local,
-)
+from faultflow.fem import rt0_div_matrix, rt0_eval_centroids, rt0_mass_matrix
 from faultflow.mesh import MeshError, SimplicialMesh, build_two_block_geometry
+from helpers import rt0_interpolate, rt0_local_mass
 
 
 def unit_interval_mesh():
@@ -157,15 +150,8 @@ def test_local_mass_rejects_degenerate_and_bad_weight():
 
 
 # ------------------------------------------------------------------ #
-#  divergence and trace terms
+#  divergence
 # ------------------------------------------------------------------ #
-
-
-def test_local_div_is_orientation_signs():
-    mesh = unit_right_triangle_mesh()
-    signs = mesh.cell_face_signs[0]
-    assert np.array_equal(rt0_local_div(signs), signs.astype(float))
-    assert set(np.abs(rt0_local_div(signs))) == {1.0}
 
 
 def test_div_of_interpolated_linear_field():
@@ -184,18 +170,6 @@ def test_div_of_constant_field_is_zero():
     dofs = rt0_interpolate(mesh, np.array([0.3, -1.2, 0.0]))
     resid = np.abs(rt0_div_matrix(mesh).T @ dofs)
     assert resid.max() < 1e-12
-
-
-def test_trace_term_values():
-    assert trace_term_local(0.25, 1.0) == pytest.approx(4.0)
-    assert trace_term_local(0.5, 0.0) == 0.0
-    assert trace_term_local(0.1, 3.0) == pytest.approx(
-        3.0 * trace_term_local(0.1, 1.0)
-    )
-    with pytest.raises(MeshError):
-        trace_term_local(0.0, 1.0)
-    with pytest.raises(MeshError):
-        trace_term_local(1.0, -2.0)
 
 
 # ------------------------------------------------------------------ #

@@ -1,5 +1,8 @@
 """Mesh, geometry, and mesh-format tests."""
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,6 +17,9 @@ from faultflow.mesh import (
     export_mesh,
     import_mesh,
 )
+
+ROOT = Path(__file__).resolve().parents[1]
+BUNDLED_3D = ROOT / "src" / "faultflow" / "data" / "single_fault_3d.msh"
 
 
 def test_two_block_counts_small():
@@ -56,6 +62,22 @@ def test_interior_faces_have_two_cells_with_opposite_signs():
         assert sorted(signs) == [-1, 1]
 
 
+def test_owner_sign_is_plus_one_on_every_face():
+    # the global normal of a face is its owner's outward normal, so every
+    # boundary face's flux dof is its outward flux and no coupling or
+    # boundary term needs a per-face sign
+    meshes = [
+        *build_two_block_geometry(4, 3).domains.values(),
+        build_layered_equidim_mesh(0.05, 0.02, 0.02),
+        *import_mesh(BUNDLED_3D).domains.values(),
+    ]
+    for mesh in meshes:
+        owner = mesh.face_cells[:, 0]
+        local = mesh.cell_faces[owner] == np.arange(mesh.n_faces)[:, None]
+        assert np.all(local.sum(axis=1) == 1)
+        assert np.all(mesh.cell_face_signs[owner][local] == 1)
+
+
 def test_closed_polytope_and_unit_normals():
     geom = build_two_block_geometry(5, 3)
     eq = build_layered_equidim_mesh(0.05, 0.02, 0.02)
@@ -83,7 +105,6 @@ def test_interface_maps_are_coincident_bijections():
         fmeas = geom.matrix.face_measures[imap.pairs[:, 0]]
         cmeas = dmesh.cell_measures[imap.pairs[:, 1]]
         assert np.abs(fmeas - cmeas).max() < 1e-12
-        assert np.all(imap.orientation == 1)
         gmap = geom.damage_fault[side]
         dcent = dmesh.cell_centroids()[gmap.pairs[:, 0]]
         fcent = geom.fault.cell_centroids()[gmap.pairs[:, 1]]
@@ -98,11 +119,7 @@ def test_total_measures():
 
 def test_geometry_validation_catches_tampering():
     geom = build_two_block_geometry(2, 2)
-    broken = InterfaceMap(
-        geom.damage_fault["left"].pairs[:-1],
-        "left",
-        geom.damage_fault["left"].orientation[:-1],
-    )
+    broken = InterfaceMap(geom.damage_fault["left"].pairs[:-1], "left")
     geom.damage_fault["left"] = broken
     with pytest.raises(TopologyError, match="fault cell"):
         geom.validate()
@@ -179,10 +196,17 @@ def test_mesh_roundtrip(tmp_path):
         assert np.array_equal(
             back.matrix_damage[side].pairs, geom.matrix_damage[side].pairs
         )
-        assert np.array_equal(
-            back.matrix_damage[side].orientation,
-            geom.matrix_damage[side].orientation,
-        )
+
+
+def test_3d_generator_reproduces_bundled_mesh(tmp_path):
+    spec = importlib.util.spec_from_file_location(
+        "make_fault3d_mesh", ROOT / "tools" / "make_fault3d_mesh.py"
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    path = tmp_path / "single_fault_3d.msh"
+    export_mesh(tool.build_geometry(18, 11), path)
+    assert path.read_bytes() == BUNDLED_3D.read_bytes()
 
 
 def test_import_reports_parse_errors_with_line(tmp_path):

@@ -25,6 +25,7 @@ import numpy as np
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
 from faultflow.mesh import (  # noqa: E402
+    SIDES,
     InterfaceMap,
     MixedDimGeometry,
     SimplicialMesh,
@@ -142,7 +143,7 @@ def build_geometry(nx: int, ny: int) -> MixedDimGeometry:
 
     damage = {
         s: SimplicialMesh(2, splane.copy(), surf_cells.copy())
-        for s in ("left", "right")
+        for s in SIDES
     }
     fault = SimplicialMesh(2, splane.copy(), surf_cells.copy())
 
@@ -174,25 +175,17 @@ def build_geometry(nx: int, ny: int) -> MixedDimGeometry:
                         )
                     pairs.append((face, cell))
                     cell += 1
-        faces = np.array([p[0] for p in pairs])
-        orientation = np.array(
-            [matrix.boundary_sign(int(f)) for f in faces], dtype=np.int64
-        )
-        matrix_damage[side] = InterfaceMap(
-            np.array(pairs, dtype=np.int64), side, orientation
-        )
+        matrix_damage[side] = InterfaceMap(pairs, side)
 
     n_surf = len(surf_cells)
     damage_fault = {
         side: InterfaceMap(
-            np.column_stack([np.arange(n_surf), np.arange(n_surf)]),
-            side,
-            np.ones(n_surf, dtype=np.int64),
+            np.column_stack([np.arange(n_surf), np.arange(n_surf)]), side
         )
-        for side in ("left", "right")
+        for side in SIDES
     }
 
-    for side in ("left", "right"):
+    for side in SIDES:
         for f in matrix_damage[side].pairs[:, 0]:
             matrix.boundary_tags[int(f)] = f"plane_{side}"
     for f in matrix.boundary_faces():
