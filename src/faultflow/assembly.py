@@ -62,8 +62,7 @@ class CoefficientSet:
     per-cell 3x3 tensor).  ``matrix_damage_resist`` is the Robin resistance
     of the matrix/damage interface, one value per interface pair, and
     ``damage_fault_resist`` the resistance governing the exchange flux, one
-    value per (side, fault cell).  ``mode`` records which interpretation of
-    raw coefficient tables produced the set: it is carried into run headers.
+    value per (side, fault cell).
     """
 
     matrix_resist: np.ndarray
@@ -71,9 +70,6 @@ class CoefficientSet:
     fault_resist: np.ndarray
     matrix_damage_resist: dict[str, np.ndarray]
     damage_fault_resist: dict[str, np.ndarray]
-    damage_thickness: float
-    fault_thickness: float
-    mode: str = "direct"
 
     @classmethod
     def for_geometry(
@@ -84,9 +80,6 @@ class CoefficientSet:
         fault_resist,
         matrix_damage_resist,
         damage_fault_resist,
-        damage_thickness: float = 1.0,
-        fault_thickness: float = 1.0,
-        mode: str = "direct",
     ) -> "CoefficientSet":
         """Broadcast scalars or per-cell arrays onto the geometry."""
 
@@ -115,9 +108,6 @@ class CoefficientSet:
                 lambda s: geometry.fault.n_cells,
                 "damage/fault interface",
             ),
-            damage_thickness=damage_thickness,
-            fault_thickness=fault_thickness,
-            mode=mode,
         )
 
 
@@ -132,8 +122,8 @@ def coefficients_from_mode(
 
     ``k`` maps region names (``matrix``, ``damage`` as a dict per side or a
     common value, ``fault``) to scalars or per-cell arrays.  Two published
-    interpretations of the same tables exist and disagree; both are
-    first-class here and recorded in ``mode``:
+    interpretations of the same tables exist and disagree; ``mode``
+    selects one:
 
     - ``literal``: k scales like an inverse permeability.  Tangential layer
       resistance k * thickness, interface resistance k / thickness; the
@@ -184,9 +174,6 @@ def coefficients_from_mode(
         fault_resist=fault_resist,
         matrix_damage_resist=matrix_damage_resist,
         damage_fault_resist=damage_fault_resist,
-        damage_thickness=eps_mu,
-        fault_thickness=eps_gamma,
-        mode=mode,
     )
 
 

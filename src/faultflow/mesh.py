@@ -261,7 +261,7 @@ class SimplicialMesh:
             dtype=np.int64,
         )
 
-    def validate(self, tol: float = GEOM_TOL) -> None:
+    def validate(self) -> None:
         """Check the mesh invariants; raise MeshError on the first failure."""
         if np.any(self.cell_measures <= 0):
             bad = int(np.argmin(self.cell_measures))
@@ -351,10 +351,10 @@ class MixedDimGeometry:
             faces = faces[~np.isin(faces, np.concatenate(plane))]
         return faces
 
-    def validate(self, tol: float = GEOM_TOL) -> None:
+    def validate(self) -> None:
         """Check all coupling invariants; raise TopologyError on failure."""
         for mesh in (self.matrix, *self.damage.values(), self.fault):
-            mesh.validate(tol)
+            mesh.validate()
         if set(self.damage) != set(SIDES):
             raise TopologyError("damage layers must cover sides left/right")
         for side in SIDES:
@@ -368,11 +368,11 @@ class MixedDimGeometry:
                     f"damage layer {side} has {dmesh.n_cells} cells but the "
                     f"fault has {self.fault.n_cells}"
                 )
-            self._check_matrix_damage(side, tol)
-            self._check_damage_fault(side, tol)
+            self._check_matrix_damage(side)
+            self._check_damage_fault(side)
         self._check_internal_tags()
 
-    def _check_matrix_damage(self, side: str, tol: float) -> None:
+    def _check_matrix_damage(self, side: str) -> None:
         imap = self.matrix_damage[side]
         dmesh = self.damage[side]
         faces = imap.pairs[:, 0]
@@ -409,7 +409,9 @@ class MixedDimGeometry:
         dm = np.abs(
             self.matrix.face_measures[faces] - dmesh.cell_measures[cells]
         )
-        if dm.size and dm.max() > tol * max(1.0, dmesh.cell_measures.max()):
+        if dm.size and dm.max() > GEOM_TOL * max(
+            1.0, dmesh.cell_measures.max()
+        ):
             bad = int(faces[np.argmax(dm)])
             raise TopologyError(
                 f"matrix face {bad} and its damage cell on side {side} have "
@@ -428,7 +430,7 @@ class MixedDimGeometry:
                 "geometrically coincident"
             )
 
-    def _check_damage_fault(self, side: str, tol: float) -> None:
+    def _check_damage_fault(self, side: str) -> None:
         imap = self.damage_fault[side]
         dmesh = self.damage[side]
         dcells = imap.pairs[:, 0]
@@ -459,7 +461,7 @@ class MixedDimGeometry:
         dm = np.abs(
             dmesh.cell_measures[dcells] - self.fault.cell_measures[fcells]
         )
-        if dm.size and dm.max() > tol * max(
+        if dm.size and dm.max() > GEOM_TOL * max(
             1.0, self.fault.cell_measures.max()
         ):
             raise TopologyError(
@@ -504,32 +506,43 @@ class MixedDimGeometry:
 # ---------------------------------------------------------------------- #
 
 
-def _square_grid(x0: float, x1: float, y0: float, y1: float, nx: int, ny: int):
-    """Triangulated structured grid; quads split along the lower-left to
-    upper-right diagonal."""
-    xs = np.linspace(x0, x1, nx + 1)
-    ys = np.linspace(y0, y1, ny + 1)
+def _square_grid(xs, ys):
+    """Triangulated tensor grid on the breaks ``xs`` x ``ys`` (z = 0).
+
+    Vertex (i, j) has index ``i * len(ys) + j``.  Quads are visited with i
+    outer, j inner, and each splits along its lower-left to upper-right
+    diagonal into two triangles."""
     X, Y = np.meshgrid(xs, ys, indexing="ij")
     verts = np.column_stack([X.ravel(), Y.ravel(), np.zeros(X.size)])
-
-    def vid(i, j):
-        return i * (ny + 1) + j
-
-    cells = []
-    for i in range(nx):
-        for j in range(ny):
-            v00 = vid(i, j)
-            v10 = vid(i + 1, j)
-            v11 = vid(i + 1, j + 1)
-            v01 = vid(i, j + 1)
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
-    return verts, np.array(cells, dtype=np.int64)
+    ids = np.arange(X.size, dtype=np.int64).reshape(X.shape)
+    v00, v10 = ids[:-1, :-1].ravel(), ids[1:, :-1].ravel()
+    v11, v01 = ids[1:, 1:].ravel(), ids[:-1, 1:].ravel()
+    cells = np.stack(
+        [np.column_stack([v00, v10, v11]), np.column_stack([v00, v11, v01])],
+        axis=1,
+    )
+    return verts, cells.reshape(-1, 3)
 
 
-def _segment_mesh(n: int, x: float = 1.0) -> SimplicialMesh:
+def _tag_box(mesh: SimplicialMesh, faces: np.ndarray) -> None:
+    """Tag ``faces`` on the boundary of the box (0, 2) x (0, 1) as left,
+    right, bottom or top."""
+    fc = mesh.face_centroids()[faces]
+    tags = np.select(
+        [
+            np.abs(fc[:, 0]) < GEOM_TOL,
+            np.abs(fc[:, 0] - 2.0) < GEOM_TOL,
+            np.abs(fc[:, 1]) < GEOM_TOL,
+        ],
+        ["left", "right", "bottom"],
+        "top",
+    )
+    mesh.boundary_tags.update(zip(faces.tolist(), tags.tolist()))
+
+
+def _segment_mesh(n: int) -> SimplicialMesh:
     ys = np.linspace(0.0, 1.0, n + 1)
-    verts = np.column_stack([np.full(n + 1, x), ys, np.zeros(n + 1)])
+    verts = np.column_stack([np.ones(n + 1), ys, np.zeros(n + 1)])
     cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
     mesh = SimplicialMesh(1, verts, cells)
     fc = mesh.face_centroids()
@@ -550,41 +563,33 @@ def build_two_block_geometry(n_x: int, n_y: int) -> MixedDimGeometry:
     """
     if n_x < 1 or n_y < 1:
         raise MeshError("grid must have at least one cell per direction")
-    lv, lc = _square_grid(0.0, 1.0, 0.0, 1.0, n_x, n_y)
-    rv, rc = _square_grid(1.0, 2.0, 0.0, 1.0, n_x, n_y)
+    ys = np.linspace(0.0, 1.0, n_y + 1)
+    lv, lc = _square_grid(np.linspace(0.0, 1.0, n_x + 1), ys)
+    rv, rc = _square_grid(np.linspace(1.0, 2.0, n_x + 1), ys)
     n_left = len(lv)
     verts = np.vstack([lv, rv])
     cells = np.vstack([lc, rc + n_left])
     matrix = SimplicialMesh(2, verts, cells)
 
     fc = matrix.face_centroids()
-    for f in matrix.boundary_faces():
-        x, y = fc[f, 0], fc[f, 1]
-        if abs(x - 1.0) < GEOM_TOL:
-            # distinguish the duplicated planes by vertex block
-            side = "left" if matrix.faces[f, 0] < n_left else "right"
-            matrix.boundary_tags[int(f)] = f"plane_{side}"
-        elif abs(x) < GEOM_TOL:
-            matrix.boundary_tags[int(f)] = "left"
-        elif abs(x - 2.0) < GEOM_TOL:
-            matrix.boundary_tags[int(f)] = "right"
-        elif abs(y) < GEOM_TOL:
-            matrix.boundary_tags[int(f)] = "bottom"
-        else:
-            matrix.boundary_tags[int(f)] = "top"
-
-    damage = {s: _segment_mesh(n_y) for s in SIDES}
-    fault = _segment_mesh(n_y)
-
+    boundary = matrix.boundary_faces()
+    on_plane = np.abs(fc[boundary, 0] - 1.0) < GEOM_TOL
+    _tag_box(matrix, boundary[~on_plane])
+    # the duplicated planes differ by vertex block; sorted by y, their
+    # faces pair with the damage cells, which are ordered by y
+    plane = boundary[on_plane]
+    in_left = matrix.faces[plane, 0] < n_left
     matrix_damage = {}
-    for side in SIDES:
-        faces = matrix.faces_with_tag(f"plane_{side}")
-        order = np.argsort(fc[faces, 1])
-        faces = faces[order]
-        # damage cells are already ordered by y
+    for side, faces in zip(SIDES, (plane[in_left], plane[~in_left])):
+        matrix.boundary_tags.update(
+            dict.fromkeys(faces.tolist(), f"plane_{side}")
+        )
+        faces = faces[np.argsort(fc[faces, 1])]
         pairs = np.column_stack([faces, np.arange(n_y)])
         matrix_damage[side] = InterfaceMap(pairs, side)
 
+    damage = {s: _segment_mesh(n_y) for s in SIDES}
+    fault = _segment_mesh(n_y)
     damage_fault = {
         side: InterfaceMap(
             np.column_stack([np.arange(n_y), np.arange(n_y)]), side
@@ -665,22 +670,7 @@ def build_layered_equidim_mesh(
     n_y = 4 * math.ceil(n_y / 4)  # keep the quarter lines y=0.25, 0.75 exact
     ys = np.linspace(0.0, 1.0, n_y + 1)
 
-    nx = len(xbreaks) - 1
-    X, Y = np.meshgrid(xbreaks, ys, indexing="ij")
-    verts = np.column_stack([X.ravel(), Y.ravel(), np.zeros(X.size)])
-
-    def vid(i, j):
-        return i * (n_y + 1) + j
-
-    cells = []
-    for i in range(nx):
-        for j in range(n_y):
-            v00, v10 = vid(i, j), vid(i + 1, j)
-            v11, v01 = vid(i + 1, j + 1), vid(i, j + 1)
-            cells.append((v00, v10, v11))
-            cells.append((v00, v11, v01))
-    cells = np.array(cells, dtype=np.int64)
-
+    verts, cells = _square_grid(xbreaks, ys)
     centroids_x = verts[cells, 0].mean(axis=1)
     regions = np.full(len(cells), "matrix", dtype=object)
     regions[(centroids_x > a) & (centroids_x < b)] = "damage_left"
@@ -688,17 +678,7 @@ def build_layered_equidim_mesh(
     regions[(centroids_x > c) & (centroids_x < d)] = "damage_right"
 
     mesh = SimplicialMesh(2, verts, cells, cell_regions=regions)
-    fc = mesh.face_centroids()
-    for f in mesh.boundary_faces():
-        x, y = fc[f, 0], fc[f, 1]
-        if abs(x) < GEOM_TOL:
-            mesh.boundary_tags[int(f)] = "left"
-        elif abs(x - 2.0) < GEOM_TOL:
-            mesh.boundary_tags[int(f)] = "right"
-        elif abs(y) < GEOM_TOL:
-            mesh.boundary_tags[int(f)] = "bottom"
-        else:
-            mesh.boundary_tags[int(f)] = "top"
+    _tag_box(mesh, mesh.boundary_faces())
     return mesh
 
 

@@ -115,19 +115,22 @@ _TOKEN = re.compile(r"<=|>=|<|>|[^\s<>]+")
 
 @dataclass(frozen=True)
 class Predicate:
-    """Conjunction of comparison chains over point coordinates."""
+    """Conjunction of comparison chains over point coordinates.  A chain
+    term is an axis name (x, y, z) or a float constant."""
 
     chains: tuple
     text: str
 
     def mask(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
+
+        def value(term):
+            return pts[:, _AXES[term]] if isinstance(term, str) else term
+
         out = np.ones(len(pts), dtype=bool)
         for chain in self.chains:
             for lhs, op, rhs in chain:
-                left = pts[:, _AXES[lhs]] if lhs in _AXES else float(lhs)
-                right = pts[:, _AXES[rhs]] if rhs in _AXES else float(rhs)
-                out &= _OPS[op](left, right)
+                out &= _OPS[op](value(lhs), value(rhs))
         return out
 
     def __str__(self) -> str:
@@ -150,17 +153,11 @@ def _parse_predicate(text: str, line: int) -> Predicate:
             raise ConfigError(
                 f"line {line}: unknown operator in {clause!r}"
             )
-        for term in terms:
-            if term in _AXES:
-                continue
-            try:
-                float(term)
-            except ValueError:
-                raise ConfigError(
-                    f"line {line}: {term!r} is neither a coordinate "
-                    "nor a number"
-                ) from None
-        if not any(t in _AXES for t in terms):
+        # a term is a coordinate name or a finite constant
+        terms = [
+            t if t in _AXES else _number(t, line, "term") for t in terms
+        ]
+        if not any(isinstance(t, str) for t in terms):
             raise ConfigError(
                 f"line {line}: comparison {clause!r} uses no coordinate"
             )
@@ -455,35 +452,56 @@ def resolve_coefficients(
     )
 
 
+def _boundary_rules(rules, domains, tags, centroids) -> tuple:
+    """The bc rule deciding each boundary face, later rules overriding
+    earlier ones.  A face is given by its domain name, its mesh tag and its
+    centroid; a rule matches it through its domain (``damage`` and
+    ``layers`` fan out), then its tag (``boundary`` matches any) or its
+    predicate.  Returns the winning rule per face (None where no rule
+    matches) and, per rule, whether it matched any face."""
+    winner = np.full(len(domains), -1)
+    matched = np.zeros(len(rules), dtype=bool)
+    for i, rule in enumerate(rules):
+        mask = np.isin(domains, _domain_targets(rule.domain))
+        if rule.tag not in (None, "boundary"):
+            mask &= tags == rule.tag
+        if rule.predicate is not None:
+            mask &= rule.predicate.mask(centroids)
+        winner[mask] = i
+        matched[i] = mask.any()
+    return [rules[i] if i >= 0 else None for i in winner.tolist()], matched
+
+
+def _split_by_kind(keys, winners) -> tuple[dict, dict]:
+    """Pressure and flux data (key -> value) of the faces a rule won."""
+    data = {"pressure": {}, "flux": {}}
+    for key, rule in zip(keys, winners):
+        if rule is not None:
+            data[rule.kind][key] = rule.value
+    return data["pressure"], data["flux"]
+
+
 def resolve_boundary_conditions(
     config: RunConfig, geometry: MixedDimGeometry
 ) -> BoundaryConditions:
     meshes = geometry.domains
     external = {dom: geometry.external_faces(dom) for dom in meshes}
-    bc = BoundaryConditions()
-    for rule in config.bc_rules:
-        matched = 0
-        for dom in _domain_targets(rule.domain):
-            faces = external[dom]
-            if rule.tag and rule.tag != "boundary":
-                tagged = meshes[dom].faces_with_tag(rule.tag)
-                faces = faces[np.isin(faces, tagged)]
-            elif rule.predicate is not None:
-                centroids = meshes[dom].face_centroids()[faces]
-                faces = faces[rule.predicate.mask(centroids)]
-            matched += len(faces)
-            for f in faces.tolist():
-                bc.pressure.pop((dom, f), None)
-                bc.flux.pop((dom, f), None)
-                if rule.kind == "pressure":
-                    bc.pressure[(dom, f)] = rule.value
-                else:
-                    bc.flux[(dom, f)] = rule.value
-        if matched == 0:
-            raise ConfigError(
-                f"line {rule.line}: the rule matches no boundary face"
-            )
-    return bc
+    keys = [(dom, f) for dom in meshes for f in external[dom].tolist()]
+    tags = [meshes[dom].boundary_tags.get(f) for dom, f in keys]
+    centroids = [meshes[dom].face_centroids()[external[dom]] for dom in meshes]
+    winners, matched = _boundary_rules(
+        config.bc_rules,
+        np.array([dom for dom, _ in keys]),
+        np.array(tags, dtype=object),
+        np.concatenate(centroids),
+    )
+    if not matched.all():
+        rule = config.bc_rules[int(np.argmin(matched))]
+        raise ConfigError(
+            f"line {rule.line}: the rule matches no boundary face"
+        )
+    pressure, flux = _split_by_kind(keys, winners)
+    return BoundaryConditions(pressure=pressure, flux=flux)
 
 
 # ---------------------------------------------------------------------------
@@ -587,10 +605,9 @@ def _resolve_output_dir(config: RunConfig, output_dir) -> Path | None:
     return None
 
 
-def run_scenario(config: RunConfig | str | Path, output_dir=None) -> RunResult:
-    """Build, solve, and optionally write one scenario."""
-    if not isinstance(config, RunConfig):
-        config = load_config(config)
+def _solve(config: RunConfig) -> tuple:
+    """Geometry, coefficients, boundary data, assembly and the solve of
+    the configured route.  Returns (system, solution, solver report)."""
     geometry = build_geometry(config)
     coeff = resolve_coefficients(config, geometry)
     bc = resolve_boundary_conditions(config, geometry)
@@ -599,6 +616,14 @@ def run_scenario(config: RunConfig | str | Path, output_dir=None) -> RunResult:
         solution, report = solve_schur(system)
     else:
         solution, report = solve_saddle(system), None
+    return system, solution, report
+
+
+def run_scenario(config: RunConfig | str | Path, output_dir=None) -> RunResult:
+    """Build, solve, and optionally write one scenario."""
+    if not isinstance(config, RunConfig):
+        config = load_config(config)
+    system, solution, report = _solve(config)
     diagnostics = _diagnostics(system, solution, report)
 
     outputs = []
@@ -607,7 +632,7 @@ def run_scenario(config: RunConfig | str | Path, output_dir=None) -> RunResult:
         outputs = _write_outputs(out_dir, config, system, solution, diagnostics)
     return RunResult(
         config=config,
-        geometry=geometry,
+        geometry=system.geometry,
         system=system,
         solution=solution,
         diagnostics=diagnostics,
@@ -620,19 +645,6 @@ def run_scenario(config: RunConfig | str | Path, output_dir=None) -> RunResult:
 # ---------------------------------------------------------------------------
 
 
-def _strip_bands(config: RunConfig) -> dict[str, tuple[float, float]]:
-    half = config.eps_gamma / 2.0
-    return {
-        "damage_left": (1.0 - half - config.eps_mu, 1.0 - half),
-        "fault": (1.0 - half, 1.0 + half),
-        "damage_right": (1.0 + half, 1.0 + half + config.eps_mu),
-    }
-
-
-def _resist_from_table(k: np.ndarray, mode: str) -> np.ndarray:
-    return k if mode == "literal" else 1.0 / k
-
-
 def equidim_reference(
     config: RunConfig, eta: float, eta_coarse: float
 ) -> tuple:
@@ -640,10 +652,11 @@ def equidim_reference(
 
     The strips are meshed at size ``eta`` and the surrounding matrix
     graded up to ``eta_coarse``.  Conductivities come from the same coeff
-    rules, evaluated at the cells of the layered mesh; boundary data maps
-    mesh tags onto the strip bands (a layer's y0/y1 data lands on the
-    bottom/top boundary pieces of its strip, matrix data on the rest).
-    Returns (mesh, solution).
+    rules, evaluated at the cells of the layered mesh.  Boundary data
+    follows the region of each boundary face's owner cell: a layer's y0/y1
+    data lands on the bottom/top faces of its strip, matrix data on the
+    rest; rules that match no face here are ignored.  Returns (mesh,
+    solution).
     """
     if config.geometry_kind != "two_block":
         raise ConfigError(
@@ -656,62 +669,23 @@ def equidim_reference(
     k = _coefficient_table(
         config.coeff_rules, mesh.cell_centroids(), mesh.cell_regions
     )
-    resist = _resist_from_table(k, config.mode)
+    resist = k if config.mode == "literal" else 1.0 / k
 
-    # boundary data: map each boundary face to its mixed-model home
-    bands = _strip_bands(config)
-    mids = mesh.face_centroids()
-    pressure_bc: dict[int, float] = {}
-    flux_bc: dict[int, float] = {}
-    tag_of = {}
-    for tag in ("left", "right", "top", "bottom"):
-        for f in mesh.faces_with_tag(tag):
-            tag_of[int(f)] = tag
-
-    def face_home(f: int) -> tuple[str, str]:
-        tag = tag_of[f]
-        if tag in ("left", "right"):
-            return "matrix", tag
-        x = mids[f, 0]
-        for name, (lo, hi) in bands.items():
-            if lo <= x <= hi:
-                return name, "y1" if tag == "top" else "y0"
-        return "matrix", tag
-
-    for f in sorted(tag_of):
-        dom, tag = face_home(f)
-        assigned = None
-        for rule in config.bc_rules:
-            if dom not in _domain_targets(rule.domain):
-                continue
-            if rule.tag and rule.tag != "boundary" and rule.tag != tag:
-                continue
-            if rule.predicate is not None and not rule.predicate.mask(
-                mids[f : f + 1]
-            )[0]:
-                continue
-            assigned = rule
-        if assigned is None:
-            continue
-        if assigned.kind == "pressure":
-            pressure_bc[f] = assigned.value
-        else:
-            flux_bc[f] = assigned.value
-
+    # a boundary face takes the data of its owner cell's domain; on a
+    # strip, the bottom and top faces are that layer's y0 and y1 ends
+    faces = mesh.boundary_faces()
+    homes = mesh.cell_regions[mesh.face_cells[faces, 0]]
+    tags = np.array([mesh.boundary_tags[f] for f in faces.tolist()])
+    strip = homes != "matrix"
+    tags[strip] = np.where(tags[strip] == "top", "y1", "y0")
+    winners, _ = _boundary_rules(
+        config.bc_rules, homes, tags, mesh.face_centroids()[faces]
+    )
+    pressure_bc, flux_bc = _split_by_kind(faces.tolist(), winners)
     solution = solve_equidim(
         mesh, resist, pressure_bc=pressure_bc, flux_bc=flux_bc
     )
     return mesh, solution
-
-
-def _matrix_pressure_at(config: RunConfig, n: int) -> tuple:
-    cfg = replace(config, nx=n, ny=n, solver="saddle")
-    geometry = build_geometry(cfg)
-    coeff = resolve_coefficients(cfg, geometry)
-    bc = resolve_boundary_conditions(cfg, geometry)
-    system = assemble(geometry, coeff, bc)
-    solution = solve_saddle(system)
-    return geometry.matrix, solution.matrix_pressure
 
 
 def sweep(
@@ -719,7 +693,6 @@ def sweep(
     eps_values,
     h: float = 1.0 / 32.0,
     h2: float = 1.0 / 64.0,
-    eta_factor: float = 0.25,
     eta_coarse: float = 1.0 / 48.0,
     modes=("permeability", "literal"),
     output_path=None,
@@ -728,7 +701,7 @@ def sweep(
 
     For each thickness and mode: solve the reduced problem at grid
     spacings ``h`` and ``h2``, solve the layered reference with strip
-    resolution ``eta_factor * eps``, and record the error bracket.
+    resolution ``eps / 4``, and record the error bracket.
     """
     if config.geometry_kind != "two_block":
         raise ConfigError("sweep needs a two_block scenario")
@@ -739,13 +712,18 @@ def sweep(
                 config, eps_mu=float(eps), eps_gamma=float(eps), mode=mode
             )
             mesh_ref, reference = equidim_reference(
-                cfg, eta=eta_factor * float(eps), eta_coarse=eta_coarse
+                cfg, eta=0.25 * float(eps), eta_coarse=eta_coarse
             )
-            mesh_h, p_h = _matrix_pressure_at(cfg, round(1.0 / h))
-            mesh_h2, p_h2 = _matrix_pressure_at(cfg, round(1.0 / h2))
-            bounds = error_bounds(
-                mesh_ref, reference.pressure, mesh_h, p_h, mesh_h2, p_h2
-            )
+            reduced = []
+            for n in (round(1.0 / h), round(1.0 / h2)):
+                system, solution, _ = _solve(
+                    replace(cfg, nx=n, ny=n, solver="saddle")
+                )
+                reduced += [system.geometry.matrix, solution.matrix_pressure]
+                # keep only the matrix mesh and pressure: holding a whole
+                # system through the next solve raises the peak memory
+                del system, solution
+            bounds = error_bounds(mesh_ref, reference.pressure, *reduced)
             rows.append(
                 {
                     "eps": float(eps),

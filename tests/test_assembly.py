@@ -384,7 +384,6 @@ def test_mode_values_for_known_tables():
     assert np.allclose(coeff.matrix_damage_resist["left"], 1e4, rtol=1e-12)
     assert np.allclose(coeff.fault_resist, 1.0, rtol=1e-12)
     assert np.allclose(coeff.damage_fault_resist["right"], 1e4, rtol=1e-12)
-    assert coeff.mode == "literal"
 
     k = {"matrix": 1e-6, "damage": 1e-2, "fault": 1e-7}
     coeff = coefficients_from_mode(

@@ -75,6 +75,8 @@ def test_config_error_exits_1_with_line(tmp_path, capsys):
         "bc pressure nan on matrix:left",
         "coeff fault inf",
         "coeff matrix -1",
+        "coeff matrix 1 where x < nan",
+        "coeff fault 1 where y > inf",
     ):
         path = tmp_path / "bad.cfg"
         path.write_text(f"geometry two_block\nnx 4\nny 4\n{bad}\n")

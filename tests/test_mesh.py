@@ -12,6 +12,7 @@ from faultflow.mesh import (
     MeshFormatError,
     SimplicialMesh,
     TopologyError,
+    _square_grid,
     build_layered_equidim_mesh,
     build_two_block_geometry,
     export_mesh,
@@ -31,6 +32,22 @@ def test_two_block_counts_small():
     geom = build_two_block_geometry(1, 1)
     assert geom.matrix.n_cells == 4
     assert geom.fault.n_cells == 1
+
+
+def test_square_grid_matches_quad_loop():
+    # the vectorised triangulation against the per-quad loop it replaced
+    for nx, ny in ((1, 1), (3, 7)):
+        xs = np.linspace(0.0, 1.0, nx + 1)
+        ys = np.linspace(0.0, 2.0, ny + 1) ** 2
+        verts, cells = _square_grid(xs, ys)
+        assert verts.tolist() == [[x, y, 0.0] for x in xs for y in ys]
+        expected = []
+        for i in range(nx):
+            for j in range(ny):
+                v00, v10 = i * (ny + 1) + j, (i + 1) * (ny + 1) + j
+                v11, v01 = v10 + 1, v00 + 1
+                expected += [(v00, v10, v11), (v00, v11, v01)]
+        assert [tuple(c) for c in cells.tolist()] == expected
 
 
 def test_two_block_production_scale_counts():

@@ -272,6 +272,47 @@ bc pressure 1 on matrix:right
     assert np.max(np.abs(solution.pressure - expected)) < 1e-9
 
 
+def test_equidim_reference_maps_boundary_data_to_strips():
+    # layer data lands on the bottom/top faces of its own strip, and on
+    # no other top or bottom face
+    eps = 0.1
+    cfg = parse_config(
+        f"""
+geometry two_block
+nx 4
+ny 4
+eps_mu {eps}
+eps_gamma {eps}
+coeff matrix 1.0
+coeff damage 1.0
+coeff fault 1.0
+bc pressure 0 on matrix:left
+bc pressure 1 on matrix:right
+bc flux 0.5 on damage_left:y0
+bc flux -0.25 on fault:y1
+"""
+    )
+    mesh, solution = equidim_reference(cfg, eta=0.025, eta_coarse=0.2)
+    left_strip = (1.0 - eps / 2 - eps, 1.0 - eps / 2)
+    fault_strip = (1.0 - eps / 2, 1.0 + eps / 2)
+    faces = mesh.boundary_faces()
+    mids = mesh.face_centroids()[faces]
+    bottom = np.abs(mids[:, 1]) < 1e-12
+    top = np.abs(mids[:, 1] - 1.0) < 1e-12
+
+    def inside(strip):
+        return (mids[:, 0] > strip[0]) & (mids[:, 0] < strip[1])
+
+    expected = np.zeros(len(faces))
+    expected[bottom & inside(left_strip)] = 0.5
+    expected[top & inside(fault_strip)] = -0.25
+    assert np.count_nonzero(expected == 0.5) > 0
+    assert np.count_nonzero(expected == -0.25) > 0
+    # a boundary face's flux dof is its outward net flux, density * |F|
+    error = solution.flux[faces] - expected * mesh.face_measures[faces]
+    assert np.max(np.abs(error[bottom | top])) < 1e-12
+
+
 def test_equidim_reference_maps_band_coefficients():
     # a resistive band on the fault strip must show up as a larger
     # pressure jump across the strip inside the band than outside it

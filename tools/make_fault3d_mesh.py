@@ -29,6 +29,7 @@ from faultflow.mesh import (  # noqa: E402
     InterfaceMap,
     MixedDimGeometry,
     SimplicialMesh,
+    _square_grid,
     export_mesh,
     import_mesh,
 )
@@ -78,9 +79,6 @@ def build_geometry(nx: int, ny: int) -> MixedDimGeometry:
     nk = len(LOWER_FRACTIONS)  # z-lines per block, fault line included
     sheet = (nx + 1) * nk  # vertices per (x, z) sheet of one block
 
-    def sheet_id(i, k):
-        return i * nk + k
-
     def block_vertices(fractions, lower):
         pts = []
         for j in range(ny + 1):
@@ -91,9 +89,6 @@ def build_geometry(nx: int, ny: int) -> MixedDimGeometry:
                     pts.append((xs[i], ys[j], z))
         return np.array(pts)
 
-    def vid(base, i, k, j):
-        return base + j * sheet + sheet_id(i, k)
-
     lower_base = 0
     upper_base = (ny + 1) * sheet
     verts = np.vstack(
@@ -103,43 +98,23 @@ def build_geometry(nx: int, ny: int) -> MixedDimGeometry:
         ]
     )
 
+    # two triangles per (x, z) quad of a sheet (vertex i * nk + k),
+    # extruded along y
+    _, sheet_tris = _square_grid(np.arange(nx + 1), np.arange(nk))
     tets = []
     for base in (lower_base, upper_base):
-        for i in range(nx):
-            for k in range(nk - 1):
-                # two triangles per (x, z) quad, extruded along y
-                tris = (
-                    (sheet_id(i, k), sheet_id(i + 1, k),
-                     sheet_id(i + 1, k + 1)),
-                    (sheet_id(i, k), sheet_id(i + 1, k + 1),
-                     sheet_id(i, k + 1)),
-                )
-                for tri in tris:
-                    for j in range(ny):
-                        bottom = [base + j * sheet + s for s in tri]
-                        top = [base + (j + 1) * sheet + s for s in tri]
-                        tets.extend(_prism_tets(bottom, top))
+        for tri in sheet_tris.tolist():
+            for j in range(ny):
+                bottom = [base + j * sheet + s for s in tri]
+                top = [base + (j + 1) * sheet + s for s in tri]
+                tets.extend(_prism_tets(bottom, top))
     matrix = SimplicialMesh(3, verts, _orient_positive(tets, verts))
 
     # surface meshes share one triangulation of the fault plane; the
     # diagonal of every quad goes through its (i, j) corner, exactly as
     # the minimum-vertex rule triangulated the block faces on the plane
-    splane = np.array(
-        [(xs[i], ys[j], fault_z(xs[i]))
-         for i in range(nx + 1) for j in range(ny + 1)]
-    )
-
-    def pid(i, j):
-        return i * (ny + 1) + j
-
-    surf_cells = []
-    for i in range(nx):
-        for j in range(ny):
-            q00, q10 = pid(i, j), pid(i + 1, j)
-            q11, q01 = pid(i + 1, j + 1), pid(i, j + 1)
-            surf_cells.append((q00, q10, q11))
-            surf_cells.append((q00, q11, q01))
-    surf_cells = np.array(surf_cells, dtype=np.int64)
+    splane, surf_cells = _square_grid(xs, ys)
+    splane[:, 2] = fault_z(splane[:, 0])
 
     damage = {
         s: SimplicialMesh(2, splane.copy(), surf_cells.copy())
@@ -147,34 +122,21 @@ def build_geometry(nx: int, ny: int) -> MixedDimGeometry:
     }
     fault = SimplicialMesh(2, splane.copy(), surf_cells.copy())
 
-    face_of = {}
-    for f, tri in enumerate(matrix.faces):
-        face_of[tuple(sorted(int(v) for v in tri))] = f
-
+    face_of = {tuple(tri): f for f, tri in enumerate(matrix.faces.tolist())}
+    # plane vertex i * (ny + 1) + j is block vertex (i, k, j) of a side
+    i, j = np.divmod(surf_cells, ny + 1)
     matrix_damage = {}
     for side, base, k in (("left", upper_base, 0),
                           ("right", lower_base, nk - 1)):
+        corners = np.sort(base + j * sheet + i * nk + k, axis=1)
         pairs = []
-        cell = 0
-        for i in range(nx):
-            for j in range(ny):
-                corners = {
-                    "00": vid(base, i, k, j),
-                    "10": vid(base, i + 1, k, j),
-                    "11": vid(base, i + 1, k, j + 1),
-                    "01": vid(base, i, k, j + 1),
-                }
-                for tri in (("00", "10", "11"), ("00", "11", "01")):
-                    key = tuple(sorted(corners[c] for c in tri))
-                    face = face_of.get(key)
-                    if face is None:
-                        raise RuntimeError(
-                            f"plane face {tri} of quad ({i}, {j}) not found "
-                            f"on side {side}; the block and surface "
-                            "triangulations disagree"
-                        )
-                    pairs.append((face, cell))
-                    cell += 1
+        for cell, key in enumerate(map(tuple, corners.tolist())):
+            if key not in face_of:
+                raise RuntimeError(
+                    f"plane face of surface cell {cell} not found on side "
+                    f"{side}; the block and surface triangulations disagree"
+                )
+            pairs.append((face_of[key], cell))
         matrix_damage[side] = InterfaceMap(pairs, side)
 
     n_surf = len(surf_cells)
