@@ -28,68 +28,68 @@ __all__ = [
 _BARY_TOL = 1e-12
 
 
-class _CellLocator:
-    """Bin-accelerated point location in a simplicial mesh."""
-
-    def __init__(self, mesh: SimplicialMesh):
-        self.mesh = mesh
-        self.dim = mesh.dim
-        verts = mesh.vertices[:, : self.dim]
-        cells = verts[mesh.cells]
-        self.lo = cells.min(axis=1)
-        self.hi = cells.max(axis=1)
-        span = verts.max(axis=0) - verts.min(axis=0)
-        span[span == 0] = 1.0
-        n_bins = max(1, int(round(mesh.n_cells ** (1.0 / self.dim) / 2)))
-        self.origin = verts.min(axis=0)
-        self.width = span / n_bins
-        self.n_bins = n_bins
-        self.bins: dict[tuple, list[int]] = {}
-        lo_idx = self._bin_index(self.lo)
-        hi_idx = self._bin_index(self.hi)
-        for c in range(mesh.n_cells):
-            ranges = [
-                range(lo_idx[c, d], hi_idx[c, d] + 1)
-                for d in range(self.dim)
-            ]
-            grids = np.meshgrid(*ranges, indexing="ij")
-            for key in zip(*(g.ravel() for g in grids)):
-                self.bins.setdefault(key, []).append(c)
-
-    def _bin_index(self, points):
-        idx = np.floor((points - self.origin) / self.width).astype(int)
-        return np.clip(idx, 0, self.n_bins - 1)
-
-    def barycentric(self, cell: int, point: np.ndarray) -> np.ndarray:
-        verts = self.mesh.vertices[self.mesh.cells[cell], : self.dim]
-        T = (verts[1:] - verts[0]).T
-        lam = np.linalg.solve(T, point - verts[0])
-        return np.concatenate([[1.0 - lam.sum()], lam])
-
-    def locate(self, point: np.ndarray) -> int:
-        key = tuple(self._bin_index(point[None, :])[0])
-        best = -1
-        for c in self.bins.get(key, ()):
-            if np.any(point < self.lo[c] - 1e-12):
-                continue
-            if np.any(point > self.hi[c] + 1e-12):
-                continue
-            if np.all(self.barycentric(c, point) >= -_BARY_TOL):
-                if best < 0 or c < best:
-                    best = c
-        if best < 0:
-            raise MeshError(
-                f"point {tuple(point)} lies in no cell of the mesh"
-            )
-        return best
+def _ranges(counts):
+    """Owner and offset of each slot when item i owns counts[i] slots."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    return owner, np.arange(owner.size) - starts[owner]
 
 
 def locate_cells(mesh: SimplicialMesh, points) -> np.ndarray:
-    """Containing cell of each point; points on shared faces resolve to
-    the lowest adjacent cell index."""
-    pts = np.asarray(points, dtype=float)[:, : mesh.dim]
-    locator = _CellLocator(mesh)
-    return np.array([locator.locate(p) for p in pts], dtype=np.int64)
+    """Containing cell of each point: the lowest-index cell in which all
+    its barycentric coordinates are >= -1e-12, so a point on a shared face
+    or vertex goes to the lowest of its cells.  Cells are binned by bounding
+    box, about ``n_cells**(1/dim) / 2`` bins per axis."""
+    dim = mesh.dim
+    pts = np.asarray(points, dtype=float)[:, :dim]
+    verts = mesh.vertices[:, :dim]
+    corners = verts[mesh.cells]
+    lo, hi = corners.min(axis=1), corners.max(axis=1)
+    # coordinates >= -tol: within (dim+1) * tol * extent; doubled for rounding
+    slack = 2 * (dim + 1) * _BARY_TOL * np.max(hi - lo, initial=0.0)
+    origin, span = verts.min(axis=0), np.ptp(verts, axis=0)
+    span[span == 0] = 1.0
+    n_bins = max(1, int(round(mesh.n_cells ** (1.0 / dim) / 2)))
+
+    def box_bins(lo, hi):
+        """Owner and flat key of every bin meeting each box [lo, hi]."""
+        idx = np.floor((np.stack([lo, hi]) - origin) / (span / n_bins))
+        lo, hi = np.clip(idx.astype(np.int64), 0, n_bins - 1)
+        extent = hi - lo + 1
+        owner, rest = _ranges(extent.prod(axis=1))
+        key = np.zeros_like(owner)
+        for d in range(dim):
+            key = key * n_bins + lo[owner, d] + rest % extent[owner, d]
+            rest //= extent[owner, d]
+        return owner, key
+
+    # every cell over the bins of its bounding box: CSR by bin, ascending
+    cell, key = box_bins(lo, hi)
+    binned = cell[np.argsort(key, kind="stable")]
+    ptr = np.searchsorted(np.sort(key), np.arange(n_bins**dim + 1))
+
+    # a point within the slack of a bin boundary looks in both bins
+    owner, key = box_bins(pts - slack, pts + slack)
+    point, cell = _ranges(ptr[key + 1] - ptr[key])
+    cell = binned[cell + ptr[key[point]]]
+    point = owner[point]
+    # one axis at a time: the pair arrays are the memory peak of the sweep
+    near = np.ones(len(cell), dtype=bool)
+    for d in range(dim):
+        x = pts[point, d]
+        near &= (x >= lo[cell, d] - slack) & (x <= hi[cell, d] + slack)
+    point, cell = point[near], cell[near]
+    c = corners[cell]
+    T = np.swapaxes(c[:, 1:] - c[:, :1], 1, 2)
+    lam = np.linalg.solve(T, (pts[point] - c[:, 0])[..., None])[..., 0]
+    bary = np.column_stack([1.0 - lam.sum(axis=1), lam])
+    inside = np.all(bary >= -_BARY_TOL, axis=1)
+    best = np.full(len(pts), mesh.n_cells, dtype=np.int64)
+    np.minimum.at(best, point[inside], cell[inside])
+    if np.any(best == mesh.n_cells):
+        outside = pts[np.argmax(best == mesh.n_cells)]
+        raise MeshError(f"point {tuple(outside)} lies in no cell of the mesh")
+    return best
 
 
 def inject_p0(

@@ -7,7 +7,8 @@ reproduce without any exchange flow.  Both are closed forms the discrete
 scheme reproduces exactly on the aligned two-block grids.
 
 ``rt0_local_mass`` and ``rt0_interpolate`` are the per-cell and per-face
-oracles the element-kernel tests compare the vectorized kernels against.
+oracles the element-kernel tests compare the vectorized kernels against;
+``locate_cells_oracle`` is the cell-by-cell oracle of point location.
 """
 
 import numpy as np
@@ -208,3 +209,22 @@ def rt0_interpolate(mesh: SimplicialMesh, field) -> np.ndarray:
             np.asarray(field, dtype=float), (mesh.n_faces, 3)
         )
     return np.einsum("fx,fx->f", vals, mesh.face_normals) * mesh.face_measures
+
+
+def locate_cells_oracle(mesh: SimplicialMesh, points) -> np.ndarray:
+    """Lowest index of a cell whose barycentric coordinates of the point
+    are all >= -1e-12, trying every cell; -1 where no cell contains it.
+
+    The coordinates come from one ``np.linalg.solve`` per (point, cell),
+    as in ``locate_cells``, so points on the tolerance boundary compare
+    bit for bit."""
+    dim = mesh.dim
+    corners = mesh.vertices[mesh.cells, :dim]
+    T = np.swapaxes(corners[:, 1:] - corners[:, :1], 1, 2)
+    best = []
+    for point in np.asarray(points, dtype=float)[:, :dim]:
+        lam = np.linalg.solve(T, (point - corners[:, 0])[..., None])[..., 0]
+        bary = np.column_stack([1.0 - lam.sum(axis=1), lam])
+        inside = np.flatnonzero(np.all(bary >= -1e-12, axis=1))
+        best.append(inside[0] if inside.size else -1)
+    return np.array(best, dtype=np.int64)

@@ -1,13 +1,20 @@
 """Tests of P0 injection and the model-error bracket."""
 
+import re
+from functools import cache
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faultflow.mesh import (
     MeshError,
     SimplicialMesh,
     build_layered_equidim_mesh,
     build_two_block_geometry,
+    import_mesh,
 )
 from faultflow.model_error import (
     ErrorBounds,
@@ -15,6 +22,12 @@ from faultflow.model_error import (
     inject_p0,
     l2_norm,
     locate_cells,
+)
+from helpers import locate_cells_oracle
+
+BUNDLED_3D = (
+    Path(__file__).resolve().parents[1]
+    / "src" / "faultflow" / "data" / "single_fault_3d.msh"
 )
 
 
@@ -74,6 +87,94 @@ def test_points_on_shared_faces_take_the_lowest_cell():
     assert len(containing) == 2
     cells = locate_cells(mesh, np.array([point + [0.0]]))
     assert cells[0] == min(containing)
+
+
+@cache
+def oracle_mesh(kind):
+    if kind == "segment":
+        return segment_mesh(7)
+    if kind == "triangles":
+        return build_two_block_geometry(3, 2).matrix
+    return import_mesh(BUNDLED_3D).matrix
+
+
+ORACLE_MESHES = ["segment", "triangles", "tetrahedra"]
+
+
+@pytest.mark.parametrize("kind", ORACLE_MESHES)
+def test_locate_cells_matches_oracle_on_vertices_and_shared_faces(kind):
+    mesh = oracle_mesh(kind)
+    # a vertex is shared by many cells and a shared face by two: both ties
+    # must go to the lowest containing index
+    shared = mesh.face_cells[:, 1] >= 0
+    for points in (mesh.vertices, mesh.face_centroids()[shared]):
+        # about 250 of each keep the brute-force oracle quick in 3D
+        points = points[:: max(1, len(points) // 250)]
+        expected = locate_cells_oracle(mesh, points)
+        assert np.all(expected >= 0)
+        assert np.array_equal(locate_cells(mesh, points), expected)
+
+
+@pytest.mark.parametrize("kind", ORACLE_MESHES)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_locate_cells_matches_oracle_on_random_points(kind, data):
+    mesh = oracle_mesh(kind)
+    n = data.draw(st.integers(1, 20))
+    cells = data.draw(
+        st.lists(st.integers(0, mesh.n_cells - 1), min_size=n, max_size=n)
+    )
+    weights = np.array(
+        data.draw(
+            st.lists(
+                st.lists(
+                    st.floats(0.0, 1.0),
+                    min_size=mesh.dim + 1,
+                    max_size=mesh.dim + 1,
+                ).filter(lambda w: sum(w) > 0.0),
+                min_size=n,
+                max_size=n,
+            )
+        )
+    )
+    weights /= weights.sum(axis=1, keepdims=True)
+    # convex combinations of cell corners: inside the mesh, and on a face
+    # or vertex wherever a weight is zero
+    corners = mesh.vertices[mesh.cells[cells]]
+    points = np.einsum("pk,pkx->px", weights, corners)
+    expected = locate_cells_oracle(mesh, points)
+    assert np.all(expected >= 0)
+    assert np.array_equal(locate_cells(mesh, points), expected)
+
+
+@pytest.mark.parametrize("length", [1.0, 100.0])
+def test_tolerance_reaches_across_a_bin_boundary(length):
+    # cells numbered right to left; the two bins split [0, L] at L/2
+    verts = np.linspace(0.0, length, 5)[:, None]
+    mesh = SimplicialMesh(1, verts, [[4, 3], [3, 2], [2, 1], [1, 0]])
+    # 1e-13 L left of L/2 the point lies in cell 2 = [L/4, L/2], and in
+    # cell 1 = [L/2, 3L/4] by tolerance (coordinate -4e-13): cell 1 wins,
+    # also at L = 100, where the point is 1e-11 outside the box of cell 1
+    point = np.array([[(0.5 - 1e-13) * length]])
+    assert locate_cells_oracle(mesh, point)[0] == 1
+    assert locate_cells(mesh, point)[0] == 1
+
+
+def test_locate_cells_finds_each_tetrahedron_from_its_centroid():
+    mesh = oracle_mesh("tetrahedra")
+    assert mesh.dim == 3
+    got = locate_cells(mesh, mesh.cell_centroids())
+    assert np.array_equal(got, np.arange(mesh.n_cells))
+
+
+def test_first_outside_point_is_named():
+    mesh = segment_mesh(4)
+    points = np.random.default_rng(17).uniform(0.0, 1.0, (52, 1))
+    points[17] = 3.5
+    points[30] = -2.0
+    message = f"point {(np.float64(3.5),)} lies in no cell"
+    with pytest.raises(MeshError, match=re.escape(message)):
+        locate_cells(mesh, points)
 
 
 def test_point_outside_raises():
