@@ -37,6 +37,7 @@ equi-dimensional reference and tabulates the model-error brackets.
 from __future__ import annotations
 
 import csv
+import ctypes
 import math
 import os
 import re
@@ -688,6 +689,24 @@ def equidim_reference(
     return mesh, solution
 
 
+try:  # glibc only; elsewhere the release is skipped
+    _malloc_trim = ctypes.CDLL(None).malloc_trim
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+
+
+def _release_free_heap() -> None:
+    """Hand the C heap's free pages back to the system before a large
+    solve.  glibc keeps freed memory resident until the free space at the
+    top of its heap passes a threshold, and one small block still in use
+    near the top keeps it from ever doing so; the next factorization then
+    grows the heap past memory that is free but resident.  Without the
+    release, the peak memory of a sweep row depends on where earlier rows
+    happened to leave their blocks."""
+    if _malloc_trim is not None:
+        _malloc_trim(0)
+
+
 def sweep(
     config: RunConfig,
     eps_values,
@@ -711,11 +730,13 @@ def sweep(
             cfg = replace(
                 config, eps_mu=float(eps), eps_gamma=float(eps), mode=mode
             )
+            _release_free_heap()
             mesh_ref, reference = equidim_reference(
                 cfg, eta=0.25 * float(eps), eta_coarse=eta_coarse
             )
             reduced = []
             for n in (round(1.0 / h), round(1.0 / h2)):
+                _release_free_heap()
                 system, solution, _ = _solve(
                     replace(cfg, nx=n, ny=n, solver="saddle")
                 )
