@@ -1,23 +1,33 @@
 """Assembly of the coupled mixed-dimensional saddle-point system.
 
-Unknown layout (one contiguous vector, see ``BlockSystem.offsets``):
+The coupled system is one mixed flux-pressure problem
+
+    [ F   C ] [u]   [g]
+    [ C'  0 ] [p] = [f]
+
+over the flux dofs u (matrix faces, damage faces left then right, fault
+faces, exchange dofs) and the cell pressures p (matrix, damage left then
+right, fault: the order of ``MixedDimGeometry.domains``).  The exchange
+holds one dof per (side, fault cell), left block first: the normal Darcy
+velocity leaving the damage layer of its side and entering the fault,
+constant per fault cell.
+
+F is block-diagonal: the weighted flux mass matrix of each domain (the
+matrix one augmented by the Robin penalty of the matrix/damage interface)
+and the diagonal exchange resistance.  C holds -div of every domain, the
+matrix/damage coupling in the rows of the interface faces and the two
+exchange couplings in the exchange rows, so the pressure rows C'u = f are
+the negated conservation statements of each domain: the damage rows add
+the matrix inflow and subtract the exchange outflow, the fault rows add the
+exchange inflow from both sides.  Essential (flux) boundary data is imposed
+by symmetric elimination: unit diagonal rows with right-hand-side fixups,
+so symmetry survives.
+
+The global unknown vector orders the same unknowns by field (see
+``FIELDS`` and ``BlockSystem.offsets``):
 
     matrix_flux | matrix_pressure | damage_flux | damage_pressure |
     fault_flux  | fault_pressure  | exchange_flux
-
-Damage-layer fields concatenate the left side first, then the right; the
-exchange flux holds one dof per (side, fault cell), left block first.  The
-exchange dof is the normal Darcy velocity leaving the damage layer of its
-side and entering the fault, constant per fault cell.
-
-The assembled operator is symmetric.  Its flux rows carry the weighted flux
-mass matrices (the matrix one augmented by the Robin penalty of the
-matrix/damage interface), plus pressure couplings; its pressure rows are the
-negated conservation statements of each domain: the damage rows add the
-matrix inflow and subtract the exchange outflow, the fault rows add the
-exchange inflow from both sides.  Essential (flux) boundary data is imposed
-by symmetric elimination: unit diagonal rows with right-hand-side fixups, so
-symmetry survives.
 """
 
 from __future__ import annotations
@@ -257,26 +267,31 @@ FIELDS = (
 class BlockSystem:
     """The assembled coupled system.
 
-    ``blocks`` holds the sparse sub-operators after essential elimination
-    (keys: A_matrix, B_matrix, G_matrix, A_damage, B_damage, A_fault,
-    B_fault, G_damage, G_fault, A_exchange); ``matrix`` the full symmetric
-    operator, ``rhs`` its right-hand side.  ``offsets`` maps field names to
-    slices of the global vector.  ``eliminated`` maps eliminated global flux
-    dofs to their imposed values.
+    ``F`` (flux x flux), ``C`` (flux x pressure) and the right-hand sides
+    ``g`` (flux) and ``f`` (pressure) are the blocks of [[F, C], [C', 0]],
+    after essential elimination.  ``flux_index`` and ``pressure_index``
+    place the flux and pressure unknowns in the global vector, whose fields
+    ``offsets`` maps to slices; ``matrix`` and ``rhs`` are the full
+    symmetric operator and its right-hand side in that order.
+    ``eliminated`` maps eliminated global flux dofs to their imposed
+    values; ``anchors`` lists the pressure unknowns (indices into p) of the
+    cells owning a boundary pressure face.
     """
 
     geometry: MixedDimGeometry
     coefficients: CoefficientSet
-    blocks: dict[str, sps.csr_array]
-    rhs_parts: dict[str, np.ndarray]
+    F: sps.csr_array
+    C: sps.csr_array
+    g: np.ndarray
+    f: np.ndarray
+    flux_index: np.ndarray
+    pressure_index: np.ndarray
     offsets: dict[str, slice]
     eliminated: dict[int, float]
+    anchors: np.ndarray
     damage_face_split: dict[str, slice]
     damage_cell_split: dict[str, slice]
     source_integrals: dict[str, np.ndarray] = field(default_factory=dict)
-    # one boundary pressure anywhere anchors every pressure field, because
-    # the exchange coupling makes the whole geometry one connected system
-    anchored: bool = False
 
     _matrix: sps.csr_array | None = None
 
@@ -287,29 +302,19 @@ class BlockSystem:
     @property
     def matrix(self) -> sps.csr_array:
         if self._matrix is None:
-            self._matrix = self._compose()
+            self._matrix = _saddle_matrix(
+                self.F,
+                self.C,
+                np.concatenate([self.flux_index, self.pressure_index]),
+            )
         return self._matrix
 
     @property
     def rhs(self) -> np.ndarray:
-        b = np.zeros(self.n_dofs)
-        for name in FIELDS:
-            b[self.offsets[name]] = self.rhs_parts[name]
+        b = np.empty(self.n_dofs)
+        b[self.flux_index] = self.g
+        b[self.pressure_index] = self.f
         return b
-
-    def _compose(self) -> sps.csr_array:
-        B = self.blocks
-        Z = None
-        rows = [
-            [B["A_matrix"], B["B_matrix"], Z, B["G_matrix"], Z, Z, Z],
-            [B["B_matrix"].T, Z, Z, Z, Z, Z, Z],
-            [Z, Z, B["A_damage"], B["B_damage"], Z, Z, Z],
-            [B["G_matrix"].T, Z, B["B_damage"].T, Z, Z, Z, B["G_damage"]],
-            [Z, Z, Z, Z, B["A_fault"], B["B_fault"], Z],
-            [Z, Z, Z, Z, B["B_fault"].T, Z, B["G_fault"]],
-            [Z, Z, Z, B["G_damage"].T, Z, B["G_fault"].T, B["A_exchange"]],
-        ]
-        return sps.csr_array(sps.bmat(rows, format="csr"))
 
     def split(self, x: np.ndarray) -> dict[str, np.ndarray]:
         return {name: x[self.offsets[name]] for name in FIELDS}
@@ -319,6 +324,17 @@ class BlockSystem:
             self.damage_face_split if what == "flux" else self.damage_cell_split
         )
         return {s: values[split[s]] for s in SIDES}
+
+
+def _saddle_matrix(F, C, order: np.ndarray | None = None) -> sps.csr_array:
+    """The symmetric operator [[F, C], [C', 0]], with row and column i
+    moved to position ``order[i]`` (default: left in place)."""
+    K = sps.coo_array(sps.bmat([[F, C], [C.T, None]], format="coo"))
+    if order is not None:
+        K = sps.coo_array(
+            (K.data, (order[K.row], order[K.col])), shape=K.shape
+        )
+    return sps.csr_array(K.tocsr())
 
 
 def assemble(
@@ -332,173 +348,143 @@ def assemble(
     bc.validate(geometry)
     sources = sources or SourceField()
 
-    matrix = geometry.matrix
+    domains = geometry.domains
+    meshes = list(domains.values())
     fault = geometry.fault
-    damage = geometry.damage
+    n_exchange = 2 * fault.n_cells
 
-    # -- flux mass blocks -------------------------------------------------
+    # -- F: flux mass blocks and the exchange resistance -----------------
     # The Robin resistance of the matrix/damage interface lands on the
     # diagonal of the paired matrix face: (u.n, v.n) over the face is
     # 1/|F| for the face's own basis function.
-    penalty = np.zeros(matrix.n_faces)
+    penalty = np.zeros(geometry.matrix.n_faces)
     for side in SIDES:
         faces = geometry.matrix_damage[side].pairs[:, 0]
         penalty[faces] += coefficients.matrix_damage_resist[side] / (
-            matrix.face_measures[faces]
+            geometry.matrix.face_measures[faces]
         )
-    A_matrix = sps.csr_array(
-        rt0_mass_matrix(matrix, coefficients.matrix_resist)
-        + sps.diags_array(penalty)
-    )
-
-    A_damage = sps.csr_array(
-        sps.block_diag(
-            [
-                rt0_mass_matrix(damage[s], coefficients.damage_resist[s])
-                for s in SIDES
-            ],
-            format="csr",
-        )
-    )
-    A_fault = rt0_mass_matrix(fault, coefficients.fault_resist)
-
-    # -- divergence blocks -------------------------------------------------
-    B_matrix = sps.csr_array(-rt0_div_matrix(matrix))
-    B_damage = sps.csr_array(
-        sps.block_diag([-rt0_div_matrix(damage[s]) for s in SIDES],
-                       format="csr")
-    )
-    B_fault = sps.csr_array(-rt0_div_matrix(fault))
-
-    # -- field sizes -------------------------------------------------------
-    nf_d = {s: damage[s].n_faces for s in SIDES}
-    nc_d = {s: damage[s].n_cells for s in SIDES}
-    damage_face_split = {
-        "left": slice(0, nf_d["left"]),
-        "right": slice(nf_d["left"], nf_d["left"] + nf_d["right"]),
+    resist = {
+        "matrix": coefficients.matrix_resist,
+        **{f"damage_{s}": coefficients.damage_resist[s] for s in SIDES},
+        "fault": coefficients.fault_resist,
     }
-    damage_cell_split = {
-        "left": slice(0, nc_d["left"]),
-        "right": slice(nc_d["left"], nc_d["left"] + nc_d["right"]),
-    }
-    n_exchange = 2 * fault.n_cells
-    exchange_offset = {"left": 0, "right": fault.n_cells}
-
-    # -- matrix/damage coupling: value 1 per (face, damage cell) pair -----
-    rows, cols, vals = [], [], []
-    for side in SIDES:
-        imap = geometry.matrix_damage[side]
-        rows.append(imap.pairs[:, 0])
-        cols.append(imap.pairs[:, 1] + damage_cell_split[side].start)
-        vals.append(np.ones(len(imap)))
-    G_matrix = sps.coo_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(matrix.n_faces, nc_d["left"] + nc_d["right"]),
-    ).tocsr()
-
-    # -- exchange couplings: fault-cell measures --------------------------
-    rows, cols, vals = [], [], []
-    frows, fcols, fvals = [], [], []
-    for side in SIDES:
-        dmap = geometry.damage_fault[side]
-        dcells = dmap.pairs[:, 0] + damage_cell_split[side].start
-        fcells = dmap.pairs[:, 1]
-        meas = fault.cell_measures[fcells]
-        rows.append(dcells)
-        cols.append(fcells + exchange_offset[side])
-        vals.append(-meas)
-        frows.append(fcells)
-        fcols.append(fcells + exchange_offset[side])
-        fvals.append(meas)
-    G_damage = sps.coo_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(nc_d["left"] + nc_d["right"], n_exchange),
-    ).tocsr()
-    G_fault = sps.coo_array(
-        (
-            np.concatenate(fvals),
-            (np.concatenate(frows), np.concatenate(fcols)),
-        ),
-        shape=(fault.n_cells, n_exchange),
-    ).tocsr()
-
+    mass = [rt0_mass_matrix(m, resist[dom]) for dom, m in domains.items()]
+    mass[0] = sps.csr_array(mass[0] + sps.diags_array(penalty))
     exchange_resist = np.concatenate(
         [coefficients.damage_fault_resist[s] for s in SIDES]
     )
-    A_exchange = sps.csr_array(
-        sps.diags_array(
-            exchange_resist * np.tile(fault.cell_measures, 2)
-        )
+    exchange = sps.diags_array(
+        exchange_resist * np.tile(fault.cell_measures, 2)
     )
+    F = sps.csr_array(sps.block_diag([*mass, exchange], format="csr"))
 
-    # -- right-hand side ---------------------------------------------------
+    # -- C: -div of every domain, plus the interface couplings ------------
+    divergence = sps.block_diag(
+        [-rt0_div_matrix(mesh) for mesh in meshes]
+        + [sps.csr_array((n_exchange, 0))],
+        format="csr",
+    )
+    n_cells = [m.n_cells for m in meshes]
+    cell_start = dict(zip(domains, np.cumsum([0, *n_cells])))
+    exchange_start = F.shape[0] - n_exchange
+    rows, cols, vals = [], [], []
+    for side, x0 in zip(SIDES, exchange_start + np.array([0, fault.n_cells])):
+        d0 = cell_start[f"damage_{side}"]
+        # matrix/damage: value 1 per (face, damage cell) pair
+        faces, dcells = geometry.matrix_damage[side].pairs.T
+        rows.append(faces)
+        cols.append(dcells + d0)
+        vals.append(np.ones(len(faces)))
+        # exchange rows: fault-cell measures, out of the damage layer and
+        # into the fault
+        dcells, fcells = geometry.damage_fault[side].pairs.T
+        meas = fault.cell_measures[fcells]
+        rows += [fcells + x0, fcells + x0]
+        cols += [dcells + d0, fcells + cell_start["fault"]]
+        vals += [-meas, meas]
+    couplings = sps.coo_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=divergence.shape,
+    )
+    C = sps.csr_array(divergence + couplings)
+
+    # -- right-hand sides --------------------------------------------------
     f_matrix_src, f_damage_src, f_fault_src = sources.cell_integrals(geometry)
+    source_integrals = {
+        "matrix": f_matrix_src,
+        "damage": np.concatenate([f_damage_src[s] for s in SIDES]),
+        "fault": f_fault_src,
+    }
     pressure = _by_domain(bc.pressure, geometry)
-    g = {
-        dom: _weak_pressure_load(mesh, pressure[dom])
-        for dom, mesh in geometry.domains.items()
-    }
-
-    # Pressure rows are the negated conservation statements (B carries
+    g = np.concatenate(
+        [_weak_pressure_load(m, pressure[dom]) for dom, m in domains.items()]
+        + [np.zeros(n_exchange)]
+    )
+    # Pressure rows are the negated conservation statements (C carries
     # -div), so a source density q enters with a minus sign.
-    rhs_parts = {
-        "matrix_flux": g["matrix"],
-        "matrix_pressure": -f_matrix_src,
-        "damage_flux": np.concatenate([g[f"damage_{s}"] for s in SIDES]),
-        "damage_pressure": -np.concatenate(
-            [f_damage_src[s] for s in SIDES]
-        ),
-        "fault_flux": g["fault"],
-        "fault_pressure": -f_fault_src,
-        "exchange_flux": np.zeros(n_exchange),
-    }
+    f = -np.concatenate(list(source_integrals.values()))
 
-    blocks = {
-        "A_matrix": A_matrix,
-        "B_matrix": B_matrix,
-        "G_matrix": G_matrix,
-        "A_damage": A_damage,
-        "B_damage": B_damage,
-        "A_fault": A_fault,
-        "B_fault": B_fault,
-        "G_damage": G_damage,
-        "G_fault": G_fault,
-        "A_exchange": A_exchange,
-    }
+    # -- essential elimination over all flux dofs -------------------------
+    values = np.concatenate(
+        [
+            *_essential_values(geometry, bc).values(),
+            np.full(n_exchange, np.nan),
+        ]
+    )
+    F, C, g, f = _eliminate_field(F, C, g, f, values)
 
+    # -- the field layout of the global vector ----------------------------
+    nf_d = {s: geometry.damage[s].n_faces for s in SIDES}
+    nc_d = {s: geometry.damage[s].n_cells for s in SIDES}
     sizes = {
-        "matrix_flux": matrix.n_faces,
-        "matrix_pressure": matrix.n_cells,
+        "matrix_flux": geometry.matrix.n_faces,
+        "matrix_pressure": geometry.matrix.n_cells,
         "damage_flux": nf_d["left"] + nf_d["right"],
         "damage_pressure": nc_d["left"] + nc_d["right"],
         "fault_flux": fault.n_faces,
         "fault_pressure": fault.n_cells,
         "exchange_flux": n_exchange,
     }
-    offsets = {}
-    start = 0
+    offsets, start = {}, 0
     for name in FIELDS:
         offsets[name] = slice(start, start + sizes[name])
         start += sizes[name]
 
-    system = BlockSystem(
+    def index(kind):
+        return np.r_[tuple(v for k, v in offsets.items() if k.endswith(kind))]
+
+    flux_index = index("_flux")
+    fixed = ~np.isnan(values)
+    return BlockSystem(
         geometry=geometry,
         coefficients=coefficients,
-        blocks=blocks,
-        rhs_parts=rhs_parts,
+        F=F,
+        C=C,
+        g=g,
+        f=f,
+        flux_index=flux_index,
+        pressure_index=index("_pressure"),
         offsets=offsets,
-        eliminated={},
-        damage_face_split=damage_face_split,
-        damage_cell_split=damage_cell_split,
-        source_integrals={
-            "matrix": f_matrix_src,
-            "damage": np.concatenate([f_damage_src[s] for s in SIDES]),
-            "fault": f_fault_src,
+        eliminated=dict(
+            zip(flux_index[fixed].tolist(), values[fixed].tolist())
+        ),
+        anchors=np.array(
+            [
+                cell_start[dom] + domains[dom].face_cells[face, 0]
+                for dom, face in bc.pressure
+            ],
+            dtype=np.int64,
+        ),
+        damage_face_split={
+            "left": slice(0, nf_d["left"]),
+            "right": slice(nf_d["left"], nf_d["left"] + nf_d["right"]),
         },
-        anchored=bool(bc.pressure),
+        damage_cell_split={
+            "left": slice(0, nc_d["left"]),
+            "right": slice(nc_d["left"], nc_d["left"] + nc_d["right"]),
+        },
+        source_integrals=source_integrals,
     )
-    _eliminate_essential(system, bc)
-    return system
 
 
 def _by_domain(data: dict, geometry: MixedDimGeometry) -> dict[str, dict]:
@@ -548,53 +534,18 @@ def _essential_values(
     }
 
 
-def _eliminate_field(A, B, G, g, f_B, f_G, values: np.ndarray):
+def _eliminate_field(F, C, g, f, values: np.ndarray):
     """Symmetric elimination of the flux dofs fixed in ``values`` (NaN =
-    free) from one domain's blocks.  Returns the updated blocks."""
+    free) from [[F, C], [C', 0]] with right-hand sides g, f.  Returns the
+    updated F, C, g, f."""
     fixed = ~np.isnan(values)
     if not fixed.any():
-        return A, B, G, g
+        return F, C, g, f
     vals = np.where(fixed, values, 0.0)
     keep = sps.diags_array((~fixed).astype(float))
-    g -= A @ vals
+    g = g - F @ vals
     g[fixed] = vals[fixed]
-    A = sps.csr_array(keep @ A @ keep + sps.diags_array(fixed.astype(float)))
-    f_B -= B.T @ vals
-    B = sps.csr_array(keep @ B)
-    if G is not None:
-        f_G -= G.T @ vals
-        G = sps.csr_array(keep @ G)
-    return A, B, G, g
-
-
-def _eliminate_essential(system: BlockSystem, bc: BoundaryConditions) -> None:
-    values = _essential_values(system.geometry, bc)
-    per_field = {
-        "matrix": values["matrix"],
-        "damage": np.concatenate([values[f"damage_{s}"] for s in SIDES]),
-        "fault": values["fault"],
-    }
-    blocks = system.blocks
-    rhs = system.rhs_parts
-    eliminated = {}
-    for name, vals in per_field.items():
-        # only the matrix flux couples to a second pressure field
-        coupled = name == "matrix"
-        A, B, G, g = _eliminate_field(
-            blocks[f"A_{name}"],
-            blocks[f"B_{name}"],
-            blocks["G_matrix"] if coupled else None,
-            rhs[f"{name}_flux"],
-            rhs[f"{name}_pressure"],
-            rhs["damage_pressure"] if coupled else None,
-            vals,
-        )
-        blocks[f"A_{name}"], blocks[f"B_{name}"] = A, B
-        if coupled:
-            blocks["G_matrix"] = G
-        rhs[f"{name}_flux"] = g
-        base = system.offsets[f"{name}_flux"].start
-        for f in np.flatnonzero(~np.isnan(vals)):
-            eliminated[base + int(f)] = float(vals[f])
-    system.eliminated = eliminated
-    system._matrix = None
+    F = sps.csr_array(keep @ F @ keep + sps.diags_array(fixed.astype(float)))
+    f = f - C.T @ vals
+    C = sps.csr_array(keep @ C)
+    return F, C, g, f

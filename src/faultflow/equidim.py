@@ -12,14 +12,15 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sps
-import scipy.sparse.linalg as spla
 
 from .assembly import (
     _eliminate_field,
     _essential_flux_values,
+    _saddle_matrix,
     _weak_pressure_load,
 )
 from .fem import rt0_div_matrix, rt0_mass_matrix
+from .linsolve import _direct_solve
 from .mesh import MeshError, SimplicialMesh
 
 __all__ = [
@@ -46,7 +47,8 @@ def solve_equidim(
     ``pressure_bc`` maps boundary faces to weakly imposed pressures;
     ``flux_bc`` maps boundary faces to outward flux densities, eliminated
     essentially; unlisted boundary faces are zero-flux.  ``source`` is a
-    scalar or per-cell density with div u = source.
+    scalar or per-cell density with div u = source.  Raises SolverError
+    when the direct solve fails.
     """
     pressure_bc = pressure_bc or {}
     flux_bc = flux_bc or {}
@@ -65,25 +67,17 @@ def solve_equidim(
         if int(f) not in on_boundary:
             raise MeshError(f"face {f} is not a boundary face")
 
-    A = rt0_mass_matrix(mesh, resist)
-    B = sps.csr_array(-rt0_div_matrix(mesh))
+    # the one-domain case of the coupled system: F = A, C = B
+    F = rt0_mass_matrix(mesh, resist)
+    C = sps.csr_array(-rt0_div_matrix(mesh))
     g = _weak_pressure_load(mesh, pressure_bc)
     q = np.asarray(source, dtype=float)
     if q.ndim == 0:
         q = np.full(mesh.n_cells, float(q))
-    f_rhs = -q * mesh.cell_measures
+    f = -q * mesh.cell_measures
     fixed = _essential_flux_values(mesh, boundary, pressure_bc, flux_bc)
-    A, B, _, g = _eliminate_field(A, B, None, g, f_rhs, None, fixed)
-
-    system = sps.bmat(
-        [[A, B], [B.T, None]], format="csc"
-    )
-    rhs = np.concatenate([g, f_rhs])
-    lu = spla.splu(system)
-    x = lu.solve(rhs)
-    x += lu.solve(rhs - system @ x)
-    if not np.all(np.isfinite(x)):
-        raise MeshError("equi-dimensional solve produced non-finite values")
+    F, C, g, f = _eliminate_field(F, C, g, f, fixed)
+    x = _direct_solve(_saddle_matrix(F, C).tocsc(), np.concatenate([g, f]))
     return EquiDimSolution(
         flux=x[: mesh.n_faces], pressure=x[mesh.n_faces :]
     )

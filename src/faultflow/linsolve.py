@@ -1,25 +1,24 @@
 """Direct and pressure-reduced solvers for the coupled system.
 
-Two routes to the same solution:
+The assembled system is the saddle-point problem [[F, C], [C', 0]] of
+``BlockSystem``, with F block-diagonal and symmetric positive definite.
+Two routes lead to the same solution:
 
 - ``solve_saddle`` factors the full symmetric indefinite operator.
-- ``solve_schur`` eliminates every flux unknown analytically.  Because all
-  flux blocks are block-diagonal (per domain, plus the diagonal exchange
-  block), the pressure system
+- ``solve_schur`` eliminates every flux unknown.  That leaves the pressure
+  system
 
-      [ S_mm  C_md       ] [p_matrix]   [r_matrix]
-      [ C_md' S_dd  C_df ] [p_damage] = [r_damage]
-      [       C_df' S_ff ] [p_fault ]   [r_fault ]
+      C' F^-1 C p = C' F^-1 g - f,
 
-  is symmetric positive definite whenever some boundary pressure is set.
-  Its diagonal blocks are weighted-Laplacian-like; the couplings C_md
-  (through the matrix flux space) and C_df (through the exchange dofs) tie
-  the three pressure fields together.  The operator is applied matrix-free
-  from sparse factorizations of the flux blocks and handed to conjugate
-  gradients, Jacobi-scaled by the inverse of its lumped diagonal.
+  symmetric positive definite when every connected set of pressure
+  unknowns reaches a boundary pressure.  The operator is applied
+  matrix-free from one sparse Cholesky-like factorization of F (symmetric
+  ordering, no pivoting) and handed to conjugate gradients, Jacobi-scaled
+  by the inverse of its lumped diagonal (C^2)' diag(F)^-1.
 
-Both routes recover all seven unknown fields; diagnostics below measure
-local conservation, the two interface laws, and the global budget.
+Both routes first check the anchoring from the structure of C, and both
+recover all seven unknown fields; diagnostics below measure local
+conservation, the two interface laws, and the global budget.
 """
 
 from __future__ import annotations
@@ -29,6 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sps
 import scipy.sparse.linalg as spla
+from scipy.sparse.csgraph import connected_components
 
 from .assembly import SIDES, BlockSystem
 from .fem import rt0_eval_centroids
@@ -52,11 +52,42 @@ class SolverError(Exception):
 
 
 def _require_anchor(system: BlockSystem) -> None:
-    if not system.anchored:
-        raise SolverError(
-            "no boundary pressure is set anywhere; all pressures are only "
-            "determined up to a constant and the system is singular"
+    """Refuse a system whose pressure is not pinned everywhere: every
+    connected set of pressure unknowns (linked through a row of C) must
+    contain the owner cell of a boundary pressure face, or its pressure
+    level is free and the system is singular.  Pressure unknowns follow
+    the domain order of ``MixedDimGeometry.domains``."""
+    C = abs(system.C)
+    _, labels = connected_components(C.T @ C, directed=False)
+    loose = ~np.isin(labels, labels[system.anchors])
+    if loose.any():
+        first = int(np.argmax(loose))
+        names = list(system.geometry.domains)
+        starts = np.cumsum(
+            [0] + [m.n_cells for m in system.geometry.domains.values()]
         )
+        dom = int(np.searchsorted(starts, first, side="right")) - 1
+        raise SolverError(
+            f"no boundary pressure reaches cell {first - starts[dom]} of "
+            f"{names[dom]} ({int(loose.sum())} of {len(labels)} pressure "
+            "unknowns); their pressure level is undetermined and the system "
+            "is singular"
+        )
+
+
+def _direct_solve(A: sps.csc_array, rhs: np.ndarray) -> np.ndarray:
+    """Sparse LU solve of the CSC matrix ``A`` with one step of iterative
+    refinement against it.  Raises SolverError when the factorization
+    fails or the result is not finite."""
+    try:
+        lu = spla.splu(A)
+        x = lu.solve(rhs)
+    except RuntimeError as exc:
+        raise SolverError(f"direct factorization failed: {exc}") from exc
+    x += lu.solve(rhs - A @ x)
+    if not np.all(np.isfinite(x)):
+        raise SolverError("direct solve produced non-finite values")
+    return x
 
 
 @dataclass
@@ -94,116 +125,41 @@ class MixedSolution:
 
 def solve_saddle(system: BlockSystem) -> MixedSolution:
     """Factor the full operator and solve, with one step of iterative
-    refinement.  Raises SolverError when the factorization fails or the
-    result bears the marks of a singular operator (non-finite entries, or
-    a solution absurdly larger than the data, which is what happens when
-    no pressure is anchored anywhere)."""
+    refinement.  Raises SolverError when some pressure is not anchored,
+    the factorization fails or the result is not finite."""
     _require_anchor(system)
-    A = system.matrix.tocsc()
-    b = system.rhs
-    try:
-        lu = spla.splu(A)
-        x = lu.solve(b)
-    except RuntimeError as exc:
-        raise SolverError(f"direct factorization failed: {exc}") from exc
-    if not np.all(np.isfinite(x)):
-        raise SolverError("direct solve produced non-finite values")
-    bscale = 1.0 + float(np.max(np.abs(b)))
-    if float(np.max(np.abs(x))) > 1e12 * bscale:
-        raise SolverError(
-            "direct solve exploded; the system is likely singular "
-            "(is any boundary pressure set?)"
-        )
-    x += lu.solve(b - A @ x)
-    return MixedSolution.from_vector(system, x)
+    return MixedSolution.from_vector(
+        system, _direct_solve(system.matrix.tocsc(), system.rhs)
+    )
 
 
 class PressureSchur:
-    """Matrix-free pressure reduction of one assembled system."""
+    """Matrix-free pressure reduction C' F^-1 C of one assembled system."""
 
     def __init__(self, system: BlockSystem):
         self.system = system
-        blocks = system.blocks
-        self._lu = {
-            "matrix": spla.splu(blocks["A_matrix"].tocsc()),
-            "damage": spla.splu(blocks["A_damage"].tocsc()),
-            "fault": spla.splu(blocks["A_fault"].tocsc()),
-        }
-        diag_x = blocks["A_exchange"].diagonal()
-        if np.any(diag_x <= 0):
-            raise SolverError("exchange block is not positive")
-        self._inv_x = 1.0 / diag_x
-        self.sizes = (
-            system.offsets["matrix_pressure"].stop
-            - system.offsets["matrix_pressure"].start,
-            system.offsets["damage_pressure"].stop
-            - system.offsets["damage_pressure"].start,
-            system.offsets["fault_pressure"].stop
-            - system.offsets["fault_pressure"].start,
+        # F is symmetric positive definite: a symmetric ordering without
+        # pivoting keeps its factor far sparser than the default COLAMD
+        self._lu = spla.splu(
+            system.F.tocsc(),
+            permc_spec="MMD_AT_PLUS_A",
+            diag_pivot_thresh=0.0,
+            options={"SymmetricMode": True},
         )
-        self.n = sum(self.sizes)
-        self._splits = np.cumsum(self.sizes)[:-1]
-
-    # -- the reduced operator ---------------------------------------------
+        self.n = system.C.shape[1]
 
     def apply(self, p: np.ndarray) -> np.ndarray:
-        B = self.system.blocks
-        p_m, p_d, p_f = np.split(np.asarray(p, dtype=float), self._splits)
-        w_m = self._lu["matrix"].solve(B["B_matrix"] @ p_m + B["G_matrix"] @ p_d)
-        w_d = self._lu["damage"].solve(B["B_damage"] @ p_d)
-        w_x = self._inv_x * (B["G_damage"].T @ p_d + B["G_fault"].T @ p_f)
-        w_f = self._lu["fault"].solve(B["B_fault"] @ p_f)
-        out_m = B["B_matrix"].T @ w_m
-        out_d = B["G_matrix"].T @ w_m + B["B_damage"].T @ w_d + B["G_damage"] @ w_x
-        out_f = B["B_fault"].T @ w_f + B["G_fault"] @ w_x
-        return np.concatenate([out_m, out_d, out_f])
+        C = self.system.C
+        return C.T @ self._lu.solve(C @ p)
 
     def rhs(self) -> np.ndarray:
-        B = self.system.blocks
-        parts = self.system.rhs_parts
-        v_m = self._lu["matrix"].solve(parts["matrix_flux"])
-        v_d = self._lu["damage"].solve(parts["damage_flux"])
-        v_f = self._lu["fault"].solve(parts["fault_flux"])
-        r_m = B["B_matrix"].T @ v_m - parts["matrix_pressure"]
-        r_d = (
-            B["G_matrix"].T @ v_m
-            + B["B_damage"].T @ v_d
-            - parts["damage_pressure"]
-        )
-        r_f = B["B_fault"].T @ v_f - parts["fault_pressure"]
-        return np.concatenate([r_m, r_d, r_f])
+        s = self.system
+        return s.C.T @ self._lu.solve(s.g) - s.f
 
     def operator(self) -> spla.LinearOperator:
         return spla.LinearOperator(
             (self.n, self.n), matvec=self.apply, dtype=float
         )
-
-    def diagonal_estimate(self) -> np.ndarray:
-        """Lumped diagonal of the reduced operator: every flux block is
-        replaced by its diagonal before forming the triple products.  Its
-        inverse is the Jacobi scaling of the conjugate gradients."""
-        B = self.system.blocks
-        inv = {
-            "matrix": 1.0 / B["A_matrix"].diagonal(),
-            "damage": 1.0 / B["A_damage"].diagonal(),
-            "fault": 1.0 / B["A_fault"].diagonal(),
-        }
-
-        def lump(mat, weights):
-            return np.asarray(
-                (mat.power(2).T @ weights)
-            ).ravel()
-
-        d_m = lump(B["B_matrix"], inv["matrix"])
-        d_d = (
-            lump(B["G_matrix"], inv["matrix"])
-            + lump(B["B_damage"], inv["damage"])
-            + np.asarray(B["G_damage"].power(2) @ self._inv_x).ravel()
-        )
-        d_f = lump(B["B_fault"], inv["fault"]) + np.asarray(
-            B["G_fault"].power(2) @ self._inv_x
-        ).ravel()
-        return np.concatenate([d_m, d_d, d_f])
 
     def to_dense(self) -> np.ndarray:
         out = np.empty((self.n, self.n))
@@ -214,34 +170,14 @@ class PressureSchur:
             e[j] = 0.0
         return out
 
-    # -- recovery -----------------------------------------------------------
-
     def expand(self, p: np.ndarray) -> np.ndarray:
-        """Recover every flux field from the pressures; eliminated dofs
-        come back with their imposed values automatically because their
-        rows were reduced to the identity."""
-        B = self.system.blocks
-        parts = self.system.rhs_parts
-        p_m, p_d, p_f = np.split(np.asarray(p, dtype=float), self._splits)
-        u_m = self._lu["matrix"].solve(
-            parts["matrix_flux"] - B["B_matrix"] @ p_m - B["G_matrix"] @ p_d
-        )
-        u_d = self._lu["damage"].solve(
-            parts["damage_flux"] - B["B_damage"] @ p_d
-        )
-        u_f = self._lu["fault"].solve(
-            parts["fault_flux"] - B["B_fault"] @ p_f
-        )
-        u_x = -self._inv_x * (B["G_damage"].T @ p_d + B["G_fault"].T @ p_f)
-        x = np.empty(self.system.n_dofs)
-        offs = self.system.offsets
-        x[offs["matrix_flux"]] = u_m
-        x[offs["matrix_pressure"]] = p_m
-        x[offs["damage_flux"]] = u_d
-        x[offs["damage_pressure"]] = p_d
-        x[offs["fault_flux"]] = u_f
-        x[offs["fault_pressure"]] = p_f
-        x[offs["exchange_flux"]] = u_x
+        """The global vector of pressures ``p`` and the fluxes
+        u = F^-1 (g - C p); eliminated dofs come back with their imposed
+        values because their rows were reduced to the identity."""
+        s = self.system
+        x = np.empty(s.n_dofs)
+        x[s.flux_index] = self._lu.solve(s.g - s.C @ p)
+        x[s.pressure_index] = p
         return x
 
 
@@ -257,13 +193,13 @@ def solve_schur(
     rtol: float = 1e-12,
     maxiter: int | None = None,
 ) -> tuple[MixedSolution, dict]:
-    """Solve through the pressure reduction with Jacobi-scaled conjugate
-    gradients (scaling from ``PressureSchur.diagonal_estimate``).
+    """Solve through the pressure reduction with conjugate gradients,
+    Jacobi-scaled by the lumped diagonal (C^2)' diag(F)^-1.
 
     Stops at relative residual ``rtol`` or after ``maxiter`` iterations
     (default 40 per pressure unknown).  Returns the solution and a small
     report (iteration count, achieved residual).  Raises SolverError when
-    CG does not converge.
+    some pressure is not anchored or CG does not converge.
     """
     _require_anchor(system)
     schur = build_pressure_schur(system)
@@ -280,13 +216,11 @@ def solve_schur(
     def tick(_):
         count["n"] += 1
 
-    M = None
-    diag = schur.diagonal_estimate()
-    if np.all(diag > 0):
-        inv = 1.0 / diag
-        M = spla.LinearOperator(
-            (schur.n, schur.n), matvec=lambda v: inv * v, dtype=float
-        )
+    # positive: every anchored pressure unknown has a nonzero column in C
+    inv = 1.0 / (system.C.power(2).T @ (1.0 / system.F.diagonal()))
+    M = spla.LinearOperator(
+        (schur.n, schur.n), matvec=lambda v: inv * v, dtype=float
+    )
     p, info = spla.cg(
         schur.operator(),
         r,

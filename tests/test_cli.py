@@ -1,10 +1,13 @@
 """Command-line interface: commands, output, and exit codes."""
 
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import faultflow
 from faultflow.cli import main
 from faultflow.mesh import build_two_block_geometry, export_mesh
 
@@ -156,10 +159,16 @@ def test_usage_error_exits_1():
 
 
 def test_module_entry_point(mini_config):
+    # the child process must import the same package as this one, also
+    # when that comes from a source checkout rather than an installation
+    package_root = str(Path(faultflow.__file__).resolve().parents[1])
+    path = [package_root, os.environ.get("PYTHONPATH", "")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
     proc = subprocess.run(
         [sys.executable, "-m", "faultflow.cli", "run", str(mini_config)],
         capture_output=True,
         text=True,
+        env=env,
     )
     assert proc.returncode == 0
     assert "conservation_max" in proc.stdout

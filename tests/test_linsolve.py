@@ -1,9 +1,12 @@
 """Solver tests: exact closed forms, route equivalence, diagnostics.
 
 The pressure-reduced operator is checked against a dense reduction built
-with plain numpy solves from the same blocks, and both solve routes are
-checked against each other on structured and randomized problems.
+with plain numpy solves from the composed operator, and both solve routes
+are checked against each other on structured and randomized problems.
 """
+
+import importlib.util
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,7 +29,17 @@ from faultflow.linsolve import (
     solve_saddle,
     solve_schur,
 )
-from faultflow.mesh import build_two_block_geometry
+from faultflow.mesh import (
+    MixedDimGeometry,
+    SimplicialMesh,
+    build_two_block_geometry,
+)
+from faultflow.scenarios import (
+    bundled_config,
+    load_config,
+    resolve_boundary_conditions,
+    resolve_coefficients,
+)
 from helpers import (
     SIDES,
     patch_setup,
@@ -87,48 +100,22 @@ def test_patch_linear_pressure_reproduced_exactly():
 
 
 def dense_reduction(system):
-    """Dense pressure reduction computed directly with numpy solves."""
-    B = {k: v.toarray() for k, v in system.blocks.items()}
-    inv = {
-        "matrix": np.linalg.inv(B["A_matrix"]),
-        "damage": np.linalg.inv(B["A_damage"]),
-        "fault": np.linalg.inv(B["A_fault"]),
-        "exchange": np.linalg.inv(B["A_exchange"]),
-    }
-    S_mm = B["B_matrix"].T @ inv["matrix"] @ B["B_matrix"]
-    C_md = B["B_matrix"].T @ inv["matrix"] @ B["G_matrix"]
-    S_dd = (
-        B["G_matrix"].T @ inv["matrix"] @ B["G_matrix"]
-        + B["B_damage"].T @ inv["damage"] @ B["B_damage"]
-        + B["G_damage"] @ inv["exchange"] @ B["G_damage"].T
-    )
-    C_df = B["G_damage"] @ inv["exchange"] @ B["G_fault"].T
-    S_ff = (
-        B["B_fault"].T @ inv["fault"] @ B["B_fault"]
-        + B["G_fault"] @ inv["exchange"] @ B["G_fault"].T
-    )
-    n_m, n_d, n_f = S_mm.shape[0], S_dd.shape[0], S_ff.shape[0]
-    S = np.zeros((n_m + n_d + n_f, n_m + n_d + n_f))
-    S[:n_m, :n_m] = S_mm
-    S[:n_m, n_m : n_m + n_d] = C_md
-    S[n_m : n_m + n_d, :n_m] = C_md.T
-    S[n_m : n_m + n_d, n_m : n_m + n_d] = S_dd
-    S[n_m : n_m + n_d, n_m + n_d :] = C_df
-    S[n_m + n_d :, n_m : n_m + n_d] = C_df.T
-    S[n_m + n_d :, n_m + n_d :] = S_ff
+    """Dense pressure reduction by block elimination of the composed
+    operator: flux rows and columns against pressure ones, as partitioned
+    by ``system.offsets``, eliminated with plain numpy solves."""
+    K = system.matrix.toarray()
+    b = system.rhs
 
-    parts = system.rhs_parts
-    r = np.concatenate(
-        [
-            B["B_matrix"].T @ inv["matrix"] @ parts["matrix_flux"]
-            - parts["matrix_pressure"],
-            B["G_matrix"].T @ inv["matrix"] @ parts["matrix_flux"]
-            + B["B_damage"].T @ inv["damage"] @ parts["damage_flux"]
-            - parts["damage_pressure"],
-            B["B_fault"].T @ inv["fault"] @ parts["fault_flux"]
-            - parts["fault_pressure"],
-        ]
-    )
+    def gather(kind):
+        offsets = system.offsets.items()
+        return np.r_[tuple(sl for name, sl in offsets if name.endswith(kind))]
+
+    u, p = gather("_flux"), gather("_pressure")
+    F = K[np.ix_(u, u)]
+    C = K[np.ix_(u, p)]
+    assert not np.any(K[np.ix_(p, p)])
+    S = C.T @ np.linalg.solve(F, C)
+    r = C.T @ np.linalg.solve(F, b[u]) - b[p]
     return S, r
 
 
@@ -167,6 +154,31 @@ def test_reduced_operator_matches_dense_reduction():
     direct = solve_saddle(system)
     x = schur.expand(p)
     assert np.max(np.abs(x - direct.vector)) <= 1e-9
+
+
+def test_reduction_matches_dense_reduction_in_3d():
+    # a coarse version of the bundled 3D scenario: 288 tetrahedra
+    spec = importlib.util.spec_from_file_location(
+        "make_fault3d_mesh",
+        Path(__file__).resolve().parents[1] / "tools" / "make_fault3d_mesh.py",
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    geometry = tool.build_geometry(3, 2)
+    config = load_config(bundled_config("fault3d"))
+    system = assemble(
+        geometry,
+        resolve_coefficients(config, geometry),
+        resolve_boundary_conditions(config, geometry),
+    )
+    schur = build_pressure_schur(system)
+    S, r = dense_reduction(system)
+    assert np.max(np.abs(schur.to_dense() - S)) <= 1e-12 * np.max(np.abs(S))
+    assert np.max(np.abs(schur.rhs() - r)) <= 1e-12 * np.max(np.abs(r))
+
+    direct = solve_saddle(system).vector[system.pressure_index]
+    reduced = solve_schur(system)[0].vector[system.pressure_index]
+    assert np.max(np.abs(direct - reduced)) <= 1e-8 * np.max(np.abs(direct))
 
 
 def test_schur_and_saddle_agree_on_heterogeneous_case():
@@ -351,6 +363,45 @@ def test_unanchored_system_is_reported_singular():
         solve_saddle(system)
     with pytest.raises(SolverError, match="no boundary pressure"):
         solve_schur(system, maxiter=200)
+
+
+def test_island_without_boundary_pressure_is_reported():
+    # one detached triangle in the matrix mesh: boundary pressures on the
+    # two blocks do not reach it, so its pressure level is free
+    base = build_two_block_geometry(3, 3)
+    n = base.matrix.n_vertices
+    island = [[5.0, 5.0, 0.0], [5.5, 5.0, 0.0], [5.0, 5.5, 0.0]]
+    matrix = SimplicialMesh(
+        2,
+        np.vstack([base.matrix.vertices, island]),
+        np.vstack([base.matrix.cells, [[n, n + 1, n + 2]]]),
+        boundary_tags=base.matrix.boundary_tags,
+    )
+    # the new faces come last, so the interface maps and tags still hold
+    assert np.array_equal(
+        matrix.faces[: base.matrix.n_faces], base.matrix.faces
+    )
+    geometry = MixedDimGeometry(
+        matrix,
+        base.damage,
+        base.fault,
+        base.matrix_damage,
+        base.damage_fault,
+    )
+    coeff = CoefficientSet.for_geometry(geometry, 1.0, 1.0, 1.0, 1.0, 1.0)
+    bc = BoundaryConditions()
+    for f in matrix.faces_with_tag("left"):
+        bc.pressure[("matrix", int(f))] = 0.0
+    for f in matrix.faces_with_tag("right"):
+        bc.pressure[("matrix", int(f))] = 1.0
+    system = assemble(geometry, coeff, bc)
+    island_cell = f"cell {base.matrix.n_cells} of matrix"
+    with pytest.raises(SolverError, match="no boundary pressure") as exc:
+        solve_saddle(system)
+    assert island_cell in str(exc.value)
+    with pytest.raises(SolverError, match="no boundary pressure") as exc:
+        solve_schur(system)
+    assert island_cell in str(exc.value)
 
 
 def test_zero_data_yields_zero_solution():
