@@ -91,32 +91,27 @@ class CoefficientSet:
         matrix_damage_resist,
         damage_fault_resist,
     ) -> "CoefficientSet":
-        """Broadcast scalars or per-cell arrays onto the geometry."""
+        """Broadcast scalars or per-cell arrays onto the geometry.  Every
+        sided field has one value per fault cell (a matrix/damage map pairs
+        each fault cell once)."""
+        n = geometry.fault.n_cells
 
-        def sided(values, n, what):
+        def sided(values, what):
             if not isinstance(values, dict):
                 values = {s: values for s in SIDES}
-            return {s: _per_cell(values[s], n(s), what) for s in SIDES}
+            return {s: _per_cell(values[s], n, what) for s in SIDES}
 
         return cls(
             matrix_resist=_per_cell(
                 matrix_resist, geometry.matrix.n_cells, "matrix"
             ),
-            damage_resist=sided(
-                damage_resist, lambda s: geometry.damage[s].n_cells, "damage"
-            ),
-            fault_resist=_per_cell(
-                fault_resist, geometry.fault.n_cells, "fault"
-            ),
+            damage_resist=sided(damage_resist, "damage"),
+            fault_resist=_per_cell(fault_resist, n, "fault"),
             matrix_damage_resist=sided(
-                matrix_damage_resist,
-                lambda s: len(geometry.matrix_damage[s]),
-                "matrix/damage interface",
+                matrix_damage_resist, "matrix/damage interface"
             ),
             damage_fault_resist=sided(
-                damage_fault_resist,
-                lambda s: geometry.fault.n_cells,
-                "damage/fault interface",
+                damage_fault_resist, "damage/fault interface"
             ),
         )
 
@@ -152,7 +147,7 @@ def coefficients_from_mode(
     if not isinstance(k_damage, dict):
         k_damage = {s: k_damage for s in SIDES}
     k_damage = {
-        s: _per_cell(k_damage[s], geometry.damage[s].n_cells, "damage")
+        s: _per_cell(k_damage[s], geometry.fault.n_cells, "damage")
         for s in SIDES
     }
     k_fault = _per_cell(k["fault"], geometry.fault.n_cells, "fault")
@@ -170,7 +165,7 @@ def coefficients_from_mode(
         fault_resist = 1.0 / (k_fault * eps_gamma)
         exchange = eps_gamma / k_fault
 
-    # the interface resistance is indexed per pair: look up the damage cell
+    # the interface resistance is indexed per pair: look up the surface cell
     matrix_damage_resist = {}
     for s in SIDES:
         cells = geometry.matrix_damage[s].pairs[:, 1]
@@ -247,7 +242,7 @@ class SourceField:
             damage = {s: damage for s in SIDES}
         return (
             expand(self.matrix, geometry.matrix),
-            {s: expand(damage[s], geometry.damage[s]) for s in SIDES},
+            {s: expand(damage[s], geometry.fault) for s in SIDES},
             expand(self.fault, geometry.fault),
         )
 
@@ -289,8 +284,6 @@ class BlockSystem:
     offsets: dict[str, slice]
     eliminated: dict[int, float]
     anchors: np.ndarray
-    damage_face_split: dict[str, slice]
-    damage_cell_split: dict[str, slice]
     source_integrals: dict[str, np.ndarray] = field(default_factory=dict)
 
     _matrix: sps.csr_array | None = None
@@ -319,11 +312,11 @@ class BlockSystem:
     def split(self, x: np.ndarray) -> dict[str, np.ndarray]:
         return {name: x[self.offsets[name]] for name in FIELDS}
 
-    def sided(self, values: np.ndarray, what: str) -> dict[str, np.ndarray]:
-        split = (
-            self.damage_face_split if what == "flux" else self.damage_cell_split
-        )
-        return {s: values[split[s]] for s in SIDES}
+    @staticmethod
+    def sided(values: np.ndarray) -> dict[str, np.ndarray]:
+        """Split a damage (or exchange) field into its left and right
+        halves: both layers live on the fault mesh."""
+        return dict(zip(SIDES, np.split(values, 2)))
 
 
 def _saddle_matrix(F, C, order: np.ndarray | None = None) -> sps.csr_array:
@@ -396,12 +389,11 @@ def assemble(
         cols.append(dcells + d0)
         vals.append(np.ones(len(faces)))
         # exchange rows: fault-cell measures, out of the damage layer and
-        # into the fault
-        dcells, fcells = geometry.damage_fault[side].pairs.T
-        meas = fault.cell_measures[fcells]
-        rows += [fcells + x0, fcells + x0]
-        cols += [dcells + d0, fcells + cell_start["fault"]]
-        vals += [-meas, meas]
+        # into the fault, cell i of the layer against cell i of the fault
+        cells = np.arange(fault.n_cells)
+        rows += [cells + x0, cells + x0]
+        cols += [cells + d0, cells + cell_start["fault"]]
+        vals += [-fault.cell_measures, fault.cell_measures]
     couplings = sps.coo_array(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
         shape=divergence.shape,
@@ -434,13 +426,11 @@ def assemble(
     F, C, g, f = _eliminate_field(F, C, g, f, values)
 
     # -- the field layout of the global vector ----------------------------
-    nf_d = {s: geometry.damage[s].n_faces for s in SIDES}
-    nc_d = {s: geometry.damage[s].n_cells for s in SIDES}
     sizes = {
         "matrix_flux": geometry.matrix.n_faces,
         "matrix_pressure": geometry.matrix.n_cells,
-        "damage_flux": nf_d["left"] + nf_d["right"],
-        "damage_pressure": nc_d["left"] + nc_d["right"],
+        "damage_flux": 2 * fault.n_faces,
+        "damage_pressure": 2 * fault.n_cells,
         "fault_flux": fault.n_faces,
         "fault_pressure": fault.n_cells,
         "exchange_flux": n_exchange,
@@ -475,14 +465,6 @@ def assemble(
             ],
             dtype=np.int64,
         ),
-        damage_face_split={
-            "left": slice(0, nf_d["left"]),
-            "right": slice(nf_d["left"], nf_d["left"] + nf_d["right"]),
-        },
-        damage_cell_split={
-            "left": slice(0, nc_d["left"]),
-            "right": slice(nc_d["left"], nc_d["left"] + nc_d["right"]),
-        },
         source_integrals=source_integrals,
     )
 

@@ -100,10 +100,6 @@ def _cmd_check_mesh(args) -> int:
             f"matrix/damage pairing ({side}): "
             f"{len(geometry.matrix_damage[side])} faces"
         )
-        print(
-            f"damage/fault pairing ({side}): "
-            f"{len(geometry.damage_fault[side])} cells"
-        )
     print("mesh ok")
     return 0
 

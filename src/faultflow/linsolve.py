@@ -106,19 +106,14 @@ class MixedSolution:
     @classmethod
     def from_vector(cls, system: BlockSystem, x: np.ndarray) -> "MixedSolution":
         parts = system.split(x)
-        n_fault = system.geometry.fault.n_cells
-        exchange = parts["exchange_flux"]
         return cls(
             matrix_flux=parts["matrix_flux"],
             matrix_pressure=parts["matrix_pressure"],
-            damage_flux=system.sided(parts["damage_flux"], "flux"),
-            damage_pressure=system.sided(parts["damage_pressure"], "pressure"),
+            damage_flux=system.sided(parts["damage_flux"]),
+            damage_pressure=system.sided(parts["damage_pressure"]),
             fault_flux=parts["fault_flux"],
             fault_pressure=parts["fault_pressure"],
-            exchange_flux={
-                "left": exchange[:n_fault],
-                "right": exchange[n_fault:],
-            },
+            exchange_flux=system.sided(parts["exchange_flux"]),
             vector=x,
         )
 
@@ -311,12 +306,11 @@ def interface_law_residuals(system: BlockSystem, solution: MixedSolution):
         out["matrix_damage"][side] = scaled[faces]
 
     for side in SIDES:
-        dmap = geometry.damage_fault[side]
-        p_d = solution.damage_pressure[side][dmap.pairs[:, 0]]
-        p_f = solution.fault_pressure[dmap.pairs[:, 1]]
-        u_x = solution.exchange_flux[side][dmap.pairs[:, 1]]
-        resist = coeff.damage_fault_resist[side][dmap.pairs[:, 1]]
-        out["damage_fault"][side] = resist * u_x + p_f - p_d
+        out["damage_fault"][side] = (
+            coeff.damage_fault_resist[side] * solution.exchange_flux[side]
+            + solution.fault_pressure
+            - solution.damage_pressure[side]
+        )
     return out
 
 

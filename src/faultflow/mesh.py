@@ -9,7 +9,9 @@ one global unit normal: the outward normal of the lowest-indexed cell on the
 face, which owns it.  The orientation sign of a cell on a face is +1 when the
 global normal points out of that cell, so the owner's sign is always +1.  A
 boundary face has only its owner, hence a boundary face's flux dof is its
-outward net flux.
+outward net flux.  The coupled geometry holds two meshes: the matrix and one
+surface mesh of the fault plane, which the fault core and both damage layers
+share.
 """
 
 from __future__ import annotations
@@ -174,6 +176,12 @@ class SimplicialMesh:
                 axis=1,
             )
             self.cell_measures = np.abs(np.linalg.det(mat)) / 6.0
+        # NaN-safe: a NaN measure fails the test too
+        degenerate = ~(self.cell_measures > 0)
+        if degenerate.any():
+            raise MeshError(
+                f"cell {int(np.argmax(degenerate))} has non-positive measure"
+            )
 
         fv = V[self.faces]  # (nf, d, 3)
         if d == 1:
@@ -262,10 +270,8 @@ class SimplicialMesh:
         )
 
     def validate(self) -> None:
-        """Check the mesh invariants; raise MeshError on the first failure."""
-        if np.any(self.cell_measures <= 0):
-            bad = int(np.argmin(self.cell_measures))
-            raise MeshError(f"cell {bad} has non-positive measure")
+        """Check the mesh invariants; raise MeshError on the first failure.
+        Construction already refused cells of non-positive measure."""
         nrm = np.linalg.norm(self.face_normals, axis=1)
         if np.any(np.abs(nrm - 1.0) > 1e-12):
             raise MeshError("face normals are not unit vectors")
@@ -293,16 +299,14 @@ class SimplicialMesh:
 
 @dataclass(frozen=True)
 class InterfaceMap:
-    """Pairing between entities of a higher-dimensional mesh and cells of a
-    lower-dimensional one.
+    """Pairing between boundary faces of the matrix mesh and cells of the
+    fault surface mesh, on one side of the fault.
 
-    For matrix/damage maps the higher entity is a boundary face of the matrix
-    mesh; for damage/fault maps it is a damage-layer cell.  A boundary
-    face's global normal points out of the matrix, towards the layer, so
-    the coupling needs no per-pair sign.
+    A boundary face's global normal points out of the matrix, towards the
+    damage layer, so the coupling needs no per-pair sign.
     """
 
-    pairs: np.ndarray  # (n, 2) int: (higher_entity, lower_cell)
+    pairs: np.ndarray  # (n, 2) int: (matrix face, surface cell)
     side: str  # "left" | "right"
 
     def __post_init__(self):
@@ -319,25 +323,30 @@ class InterfaceMap:
 class MixedDimGeometry:
     """The coupled mixed-dimensional geometry.
 
-    One matrix mesh (two blocks, not connected through the fault plane), two
-    damage-layer meshes, one fault mesh, and the four interface maps tying
-    them together.  The damage and fault meshes overlap geometrically: they
-    discretize the same surface.
+    One matrix mesh (two blocks, not connected through the fault plane), one
+    surface mesh of the fault plane, and the matrix/damage interface maps of
+    both sides.  The fault core and the two damage layers are reduced to
+    that one surface (Martin, Jaffre & Roberts 2005, applied to three
+    layers): each layer carries its own unknowns on the same cells, so cell
+    i of either damage layer lies against cell i of the fault.
     """
 
     matrix: SimplicialMesh
-    damage: dict[str, SimplicialMesh]
     fault: SimplicialMesh
     matrix_damage: dict[str, InterfaceMap]
-    damage_fault: dict[str, InterfaceMap]
+
+    @property
+    def damage(self) -> dict[str, SimplicialMesh]:
+        """The surface mesh of each damage layer: the fault mesh."""
+        return {s: self.fault for s in SIDES}
 
     @property
     def domains(self) -> dict[str, SimplicialMesh]:
-        """The four meshes by domain name, in mesh-file order."""
+        """The meshes by domain name, in mesh-file order."""
         return {
             "matrix": self.matrix,
-            "damage_left": self.damage["left"],
-            "damage_right": self.damage["right"],
+            "damage_left": self.fault,
+            "damage_right": self.fault,
             "fault": self.fault,
         }
 
@@ -353,131 +362,64 @@ class MixedDimGeometry:
 
     def validate(self) -> None:
         """Check all coupling invariants; raise TopologyError on failure."""
-        for mesh in (self.matrix, *self.damage.values(), self.fault):
-            mesh.validate()
-        if set(self.damage) != set(SIDES):
-            raise TopologyError("damage layers must cover sides left/right")
+        self.matrix.validate()
+        self.fault.validate()
+        if self.fault.dim != self.matrix.dim - 1:
+            raise TopologyError("fault must be one dimension below the matrix")
         for side in SIDES:
-            dmesh = self.damage[side]
-            if dmesh.dim != self.matrix.dim - 1:
-                raise TopologyError(
-                    f"damage layer {side} must be one dimension below matrix"
-                )
-            if dmesh.n_cells != self.fault.n_cells:
-                raise TopologyError(
-                    f"damage layer {side} has {dmesh.n_cells} cells but the "
-                    f"fault has {self.fault.n_cells}"
-                )
             self._check_matrix_damage(side)
-            self._check_damage_fault(side)
         self._check_internal_tags()
 
     def _check_matrix_damage(self, side: str) -> None:
         imap = self.matrix_damage[side]
-        dmesh = self.damage[side]
+        surface = self.fault
         faces = imap.pairs[:, 0]
         cells = imap.pairs[:, 1]
-        if len(imap) != dmesh.n_cells:
+        if len(imap) != surface.n_cells:
             raise TopologyError(
                 f"matrix/damage map {side} has {len(imap)} pairs for "
-                f"{dmesh.n_cells} layer cells"
+                f"{surface.n_cells} surface cells"
             )
         for name, idx, limit in (
             ("matrix face", faces, self.matrix.n_faces),
-            ("damage cell", cells, dmesh.n_cells),
+            ("surface cell", cells, surface.n_cells),
         ):
-            if len(np.unique(idx)) != len(idx):
-                dup = int(idx[np.argmax(np.bincount(idx))])
-                raise TopologyError(
-                    f"matrix/damage map {side}: duplicate {name} {dup}"
-                )
             if len(idx) and (idx.min() < 0 or idx.max() >= limit):
                 raise TopologyError(
                     f"matrix/damage map {side}: {name} index out of range"
                 )
-        missing = set(range(dmesh.n_cells)) - set(cells.tolist())
-        if missing:
-            raise TopologyError(
-                f"damage cell {min(missing)} on side {side} has no "
-                "matrix/damage pair"
-            )
+            if len(np.unique(idx)) != len(idx):
+                dup = int(np.argmax(np.bincount(idx)))
+                raise TopologyError(
+                    f"matrix/damage map {side}: duplicate {name} {dup}"
+                )
         if np.any(self.matrix.face_cells[faces, 1] >= 0):
             bad = int(faces[self.matrix.face_cells[faces, 1] >= 0][0])
             raise TopologyError(
                 f"matrix face {bad} in map {side} is interior, not boundary"
             )
         dm = np.abs(
-            self.matrix.face_measures[faces] - dmesh.cell_measures[cells]
+            self.matrix.face_measures[faces] - surface.cell_measures[cells]
         )
         if dm.size and dm.max() > GEOM_TOL * max(
-            1.0, dmesh.cell_measures.max()
+            1.0, surface.cell_measures.max()
         ):
             bad = int(faces[np.argmax(dm)])
             raise TopologyError(
-                f"matrix face {bad} and its damage cell on side {side} have "
+                f"matrix face {bad} and its surface cell on side {side} have "
                 "different measures"
             )
         dc = np.linalg.norm(
             self.matrix.face_centroids()[faces]
-            - dmesh.cell_centroids()[cells],
+            - surface.cell_centroids()[cells],
             axis=1,
         )
         if dc.size and dc.max() > 1e-9:
             bad = int(faces[np.argmax(dc)])
             raise TopologyError(
-                f"matrix face {bad} and damage cell "
+                f"matrix face {bad} and surface cell "
                 f"{int(cells[np.argmax(dc)])} on side {side} are not "
                 "geometrically coincident"
-            )
-
-    def _check_damage_fault(self, side: str) -> None:
-        imap = self.damage_fault[side]
-        dmesh = self.damage[side]
-        dcells = imap.pairs[:, 0]
-        fcells = imap.pairs[:, 1]
-        if len(imap) != self.fault.n_cells:
-            raise TopologyError(
-                f"damage/fault map {side} has {len(imap)} pairs for "
-                f"{self.fault.n_cells} fault cells"
-            )
-        for name, idx, limit in (
-            ("damage cell", dcells, dmesh.n_cells),
-            ("fault cell", fcells, self.fault.n_cells),
-        ):
-            if len(np.unique(idx)) != len(idx):
-                raise TopologyError(
-                    f"damage/fault map {side}: duplicate {name}"
-                )
-            if len(idx) and (idx.min() < 0 or idx.max() >= limit):
-                raise TopologyError(
-                    f"damage/fault map {side}: {name} index out of range"
-                )
-        missing = set(range(self.fault.n_cells)) - set(fcells.tolist())
-        if missing:
-            raise TopologyError(
-                f"fault cell {min(missing)} unmatched in damage/fault map "
-                f"{side}"
-            )
-        dm = np.abs(
-            dmesh.cell_measures[dcells] - self.fault.cell_measures[fcells]
-        )
-        if dm.size and dm.max() > GEOM_TOL * max(
-            1.0, self.fault.cell_measures.max()
-        ):
-            raise TopologyError(
-                f"damage/fault map {side}: cell measures differ beyond "
-                "tolerance"
-            )
-        dc = np.linalg.norm(
-            dmesh.cell_centroids()[dcells]
-            - self.fault.cell_centroids()[fcells],
-            axis=1,
-        )
-        if dc.size and dc.max() > 1e-9:
-            raise TopologyError(
-                f"damage/fault map {side}: fault cell "
-                f"{int(fcells[np.argmax(dc)])} not coincident with damage "
-                f"cell {int(dcells[np.argmax(dc)])}"
             )
 
     def _check_internal_tags(self) -> None:
@@ -557,9 +499,8 @@ def build_two_block_geometry(n_x: int, n_y: int) -> MixedDimGeometry:
     Each square is an ``n_x`` by ``n_y`` structured triangulation (two
     triangles per quad).  The squares do not share vertices: the column of
     vertices at x = 1 is duplicated, so no face on the fault plane is
-    interior to the matrix mesh.  The two damage layers and the fault are
-    segment meshes with ``n_y`` cells each, geometrically coincident on the
-    plane, each paired one-to-one with the matrix faces of its side.
+    interior to the matrix mesh.  The fault surface is a segment mesh with
+    ``n_y`` cells, paired one-to-one with the matrix faces of each side.
     """
     if n_x < 1 or n_y < 1:
         raise MeshError("grid must have at least one cell per direction")
@@ -576,7 +517,7 @@ def build_two_block_geometry(n_x: int, n_y: int) -> MixedDimGeometry:
     on_plane = np.abs(fc[boundary, 0] - 1.0) < GEOM_TOL
     _tag_box(matrix, boundary[~on_plane])
     # the duplicated planes differ by vertex block; sorted by y, their
-    # faces pair with the damage cells, which are ordered by y
+    # faces pair with the surface cells, which are ordered by y
     plane = boundary[on_plane]
     in_left = matrix.faces[plane, 0] < n_left
     matrix_damage = {}
@@ -588,15 +529,7 @@ def build_two_block_geometry(n_x: int, n_y: int) -> MixedDimGeometry:
         pairs = np.column_stack([faces, np.arange(n_y)])
         matrix_damage[side] = InterfaceMap(pairs, side)
 
-    damage = {s: _segment_mesh(n_y) for s in SIDES}
-    fault = _segment_mesh(n_y)
-    damage_fault = {
-        side: InterfaceMap(
-            np.column_stack([np.arange(n_y), np.arange(n_y)]), side
-        )
-        for side in SIDES
-    }
-    geom = MixedDimGeometry(matrix, damage, fault, matrix_damage, damage_fault)
+    geom = MixedDimGeometry(matrix, _segment_mesh(n_y), matrix_damage)
     geom.validate()
     return geom
 
@@ -705,7 +638,12 @@ def export_mesh(geometry: MixedDimGeometry, path) -> None:
     Domain sections list vertices (``v x y z``) and cells (``c i0 i1 ...``);
     interface sections list ``p higher_entity lower_cell`` pairs, with face
     indices valid under the deterministic face derivation of SimplicialMesh.
+    The format keeps one section per damage layer and one damage/fault map
+    per side: each damage section repeats the fault mesh, and each
+    damage/fault map pairs cell i with cell i.
     """
+    n = geometry.fault.n_cells
+    identity = np.column_stack([np.arange(n), np.arange(n)])
     lines = []
     for name, mesh in geometry.domains.items():
         lines.append(f"[domain {name} dim={mesh.dim}]")
@@ -716,9 +654,13 @@ def export_mesh(geometry: MixedDimGeometry, path) -> None:
         for cell in mesh.cells:
             lines.append("c " + " ".join(str(int(i)) for i in cell))
     for (src, dst), (attr, side) in _INTERFACE_KEYS.items():
-        imap = getattr(geometry, attr)[side]
+        pairs = (
+            geometry.matrix_damage[side].pairs
+            if attr == "matrix_damage"
+            else identity
+        )
         lines.append(f"[interface {attr}_{side} from={src} to={dst} side={side}]")
-        for h, l in imap.pairs:
+        for h, l in pairs:
             lines.append(f"p {int(h)} {int(l)}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -727,9 +669,15 @@ def export_mesh(geometry: MixedDimGeometry, path) -> None:
 def import_mesh(path) -> MixedDimGeometry:
     """Read a geometry written in the plain-text mesh format and validate it.
 
-    Raises MeshFormatError (with line numbers) on malformed input and
-    TopologyError (naming the entities involved) when the interface pairing
-    or mesh connectivity is inconsistent.
+    Only the matrix and fault sections become meshes.  Each damage section
+    must repeat the fault section (same vertex count, same cell lines,
+    coordinates within 1e-9), and each damage/fault map must pair cell i
+    with cell i; a renumbered copy is refused.
+
+    Raises MeshFormatError (with line numbers) on malformed input, non-finite
+    coordinates included, and TopologyError (naming the entities or the
+    side involved) when the interface pairing or mesh connectivity is
+    inconsistent.
     """
     domains: dict[str, dict] = {}
     interfaces: list[dict] = []
@@ -764,11 +712,16 @@ def import_mesh(path) -> MixedDimGeometry:
                         "vertex line must be 'v x y z'", lineno
                     )
                 try:
-                    current["verts"].append([float(p) for p in parts[1:]])
+                    vertex = [float(p) for p in parts[1:]]
                 except ValueError:
                     raise MeshFormatError(
                         "vertex coordinates are not numbers", lineno
                     ) from None
+                if not all(map(math.isfinite, vertex)):
+                    raise MeshFormatError(
+                        "vertex coordinates must be finite", lineno
+                    )
+                current["verts"].append(vertex)
             elif kind == "c" and current["kind"] == "domain":
                 parts = line.split()[1:]
                 try:
@@ -808,7 +761,7 @@ def import_mesh(path) -> MixedDimGeometry:
         raise MeshFormatError(f"missing domain section {missing[0]!r}")
 
     meshes = {}
-    for name in _FILE_DOMAINS:
+    for name in ("matrix", "fault"):
         sec = domains[name]
         if not sec["cells"]:
             raise MeshFormatError(f"domain {name!r} has no cells")
@@ -822,11 +775,23 @@ def import_mesh(path) -> MixedDimGeometry:
             raise MeshFormatError(
                 f"domain {name!r}: {exc}", sec["line"]
             ) from exc
+    surface = domains["fault"]
+    for side in SIDES:
+        sec = domains[f"damage_{side}"]
+        if len(sec["verts"]) != len(surface["verts"]):
+            differs = "vertex count"
+        elif sec["cells"] != surface["cells"]:
+            differs = "cells"
+        elif np.abs(np.subtract(sec["verts"], surface["verts"])).max() > 1e-9:
+            differs = "vertex coordinates"
+        else:
+            continue
+        raise TopologyError(
+            f"damage layer {side} does not repeat the fault mesh: its "
+            f"{differs} differ"
+        )
 
-    if meshes["matrix"].dim - 1 != meshes["fault"].dim:
-        raise TopologyError("fault must be one dimension below the matrix")
-
-    found: dict[tuple[str, str], InterfaceMap] = {}
+    found: dict[tuple[str, str], np.ndarray] = {}
     for sec in interfaces:
         key = _INTERFACE_KEYS.get((sec["from"], sec["to"]))
         if key is None:
@@ -842,15 +807,7 @@ def import_mesh(path) -> MixedDimGeometry:
                 f"side={side}",
                 sec["line"],
             )
-        pairs = np.array(sec["pairs"], dtype=np.int64).reshape(-1, 2)
-        if attr == "matrix_damage" and len(pairs) and (
-            pairs[:, 0].min() < 0
-            or pairs[:, 0].max() >= meshes["matrix"].n_faces
-        ):
-            raise TopologyError(
-                f"matrix/damage map {side}: face index out of range"
-            )
-        found[key] = InterfaceMap(pairs, side)
+        found[key] = np.array(sec["pairs"], dtype=np.int64).reshape(-1, 2)
 
     for key in _INTERFACE_KEYS.values():
         if key not in found:
@@ -858,20 +815,33 @@ def import_mesh(path) -> MixedDimGeometry:
                 f"missing interface section for {key[0]} side {key[1]}"
             )
 
-    geom = MixedDimGeometry(
-        matrix=meshes["matrix"],
-        damage={s: meshes[f"damage_{s}"] for s in SIDES},
-        fault=meshes["fault"],
-        matrix_damage={s: found[("matrix_damage", s)] for s in SIDES},
-        damage_fault={s: found[("damage_fault", s)] for s in SIDES},
-    )
-    matrix = geom.matrix
+    matrix, fault = meshes["matrix"], meshes["fault"]
+    n = fault.n_cells
     for side in SIDES:
-        for f in geom.matrix_damage[side].pairs[:, 0]:
-            matrix.boundary_tags[int(f)] = f"plane_{side}"
-    for mesh in geom.domains.values():
+        pairs = found[("damage_fault", side)]
+        if pairs.shape != (n, 2) or np.any(pairs != np.arange(n)[:, None]):
+            raise TopologyError(
+                f"damage/fault map {side}: damage cell i must pair with "
+                "fault cell i"
+            )
+        faces = found[("matrix_damage", side)][:, 0]
+        if len(faces) and (faces.min() < 0 or faces.max() >= matrix.n_faces):
+            raise TopologyError(
+                f"matrix/damage map {side}: face index out of range"
+            )
+        matrix.boundary_tags.update(
+            dict.fromkeys(faces.tolist(), f"plane_{side}")
+        )
+    for mesh in (matrix, fault):
         for f in mesh.boundary_faces():
             mesh.boundary_tags.setdefault(int(f), "boundary")
+    geom = MixedDimGeometry(
+        matrix=matrix,
+        fault=fault,
+        matrix_damage={
+            s: InterfaceMap(found[("matrix_damage", s)], s) for s in SIDES
+        },
+    )
     geom.validate()
     return geom
 

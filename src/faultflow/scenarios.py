@@ -720,10 +720,23 @@ def sweep(
 
     For each thickness and mode: solve the reduced problem at grid
     spacings ``h`` and ``h2``, solve the layered reference with strip
-    resolution ``eps / 4``, and record the error bracket.
+    resolution ``eps / 4``, and record the error bracket.  Every thickness
+    and spacing must be finite and positive (ConfigError otherwise).
     """
     if config.geometry_kind != "two_block":
         raise ConfigError("sweep needs a two_block scenario")
+    eps_values = list(eps_values)
+    for name, values in (
+        ("eps", eps_values),
+        ("h", [h]),
+        ("h2", [h2]),
+        ("eta_coarse", [eta_coarse]),
+    ):
+        for value in map(float, values):
+            if not (math.isfinite(value) and value > 0):
+                raise ConfigError(
+                    f"sweep {name} must be finite and positive, got {value!r}"
+                )
     rows = []
     for eps in eps_values:
         for mode in modes:

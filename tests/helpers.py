@@ -72,13 +72,9 @@ def series_solution_vector(system, interface_resist, exchange_resist):
 
     # layers carry no tangential flow; their pressures are flat per side
     p_damage = {"left": -u * (1 + a), "right": -u * (1 + a + 2 * b)}
-    dp = np.empty(
-        system.offsets["damage_pressure"].stop
-        - system.offsets["damage_pressure"].start
-    )
+    damage = system.sided(x[system.offsets["damage_pressure"]])  # views of x
     for side in SIDES:
-        dp[system.damage_cell_split[side]] = p_damage[side]
-    x[system.offsets["damage_pressure"]] = dp
+        damage[side][:] = p_damage[side]
     x[system.offsets["fault_pressure"]] = -u * (1 + a + b)
 
     n_fault = geometry.fault.n_cells

@@ -166,15 +166,16 @@ def dense_operator(geometry, coeff, bc, sources):
         xo = offs["exchange_flux"] + si * geometry.fault.n_cells
         _, dpo = domain_offsets(f"damage_{side}")
         _, fpo = domain_offsets("fault")
-        for dcell, fcell in geometry.damage_fault[side].pairs:
-            fverts = geometry.fault.vertices[geometry.fault.cells[fcell]]
+        # cell i of each damage layer lies against cell i of the fault
+        for cell in range(geometry.fault.n_cells):
+            fverts = geometry.fault.vertices[geometry.fault.cells[cell]]
             length = np.linalg.norm(fverts[1] - fverts[0])
-            A[dpo + dcell, xo + fcell] += -length
-            A[xo + fcell, dpo + dcell] += -length
-            A[fpo + fcell, xo + fcell] += length
-            A[xo + fcell, fpo + fcell] += length
-            A[xo + fcell, xo + fcell] += (
-                coeff.damage_fault_resist[side][fcell] * length
+            A[dpo + cell, xo + cell] += -length
+            A[xo + cell, dpo + cell] += -length
+            A[fpo + cell, xo + cell] += length
+            A[xo + cell, fpo + cell] += length
+            A[xo + cell, xo + cell] += (
+                coeff.damage_fault_resist[side][cell] * length
             )
 
     # natural boundary pressures
@@ -483,7 +484,7 @@ def test_field_layout_partitions_the_vector():
     assert np.array_equal(
         np.concatenate([parts[name] for name in system.offsets]), x
     )
-    flux = system.sided(parts["damage_flux"], "flux")
+    flux = system.sided(parts["damage_flux"])
     assert len(flux["left"]) == geometry.damage["left"].n_faces
     assert len(flux["right"]) == geometry.damage["right"].n_faces
 

@@ -147,6 +147,19 @@ def test_sweep_writes_table(mini_config, tmp_path, capsys):
 def test_sweep_rejects_bad_eps(mini_config, capsys):
     assert main(["sweep", str(mini_config), "--eps", "fast"]) == 1
     assert "--eps" in capsys.readouterr().err
+    # every thickness and spacing must be finite and positive
+    for extra, name in (
+        (["--eps", "nan"], "eps"),
+        (["--eps", "1e-2,-1"], "eps"),
+        (["--eps", "inf"], "eps"),
+        (["--eps", "1e-2", "--h", "nan"], "h"),
+        (["--eps", "1e-2", "--h", "0"], "h"),
+        (["--eps", "1e-2", "--h2", "-0.5"], "h2"),
+        (["--eps", "1e-2", "--eta-coarse", "-1"], "eta_coarse"),
+    ):
+        assert main(["sweep", str(mini_config), *extra]) == 1, extra
+        err = capsys.readouterr().err
+        assert f"sweep {name} must be finite and positive" in err, extra
 
 
 def test_usage_error_exits_1():

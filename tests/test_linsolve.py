@@ -320,17 +320,18 @@ def test_interface_laws_hold_on_solved_system():
         assert np.max(np.abs(laws["matrix_damage"][side])) <= 1e-9
         assert np.max(np.abs(laws["damage_fault"][side])) <= 1e-9
 
-    # cross-check the exchange law against a by-hand evaluation
+    # cross-check the exchange law cell by cell: cell i of a damage layer
+    # exchanges with cell i of the fault
     coeff = system.coefficients
     for side in SIDES:
-        dmap = system.geometry.damage_fault[side]
-        by_hand = (
-            coeff.damage_fault_resist[side][dmap.pairs[:, 1]]
-            * solution.exchange_flux[side][dmap.pairs[:, 1]]
-            + solution.fault_pressure[dmap.pairs[:, 1]]
-            - solution.damage_pressure[side][dmap.pairs[:, 0]]
-        )
-        assert np.max(np.abs(laws["damage_fault"][side] - by_hand)) < 1e-14
+        for cell in range(system.geometry.fault.n_cells):
+            by_hand = (
+                coeff.damage_fault_resist[side][cell]
+                * solution.exchange_flux[side][cell]
+                + solution.fault_pressure[cell]
+                - solution.damage_pressure[side][cell]
+            )
+            assert abs(laws["damage_fault"][side][cell] - by_hand) < 1e-14
 
 
 def test_velocity_reconstruction_shapes():
@@ -381,13 +382,7 @@ def test_island_without_boundary_pressure_is_reported():
     assert np.array_equal(
         matrix.faces[: base.matrix.n_faces], base.matrix.faces
     )
-    geometry = MixedDimGeometry(
-        matrix,
-        base.damage,
-        base.fault,
-        base.matrix_damage,
-        base.damage_fault,
-    )
+    geometry = MixedDimGeometry(matrix, base.fault, base.matrix_damage)
     coeff = CoefficientSet.for_geometry(geometry, 1.0, 1.0, 1.0, 1.0, 1.0)
     bc = BoundaryConditions()
     for f in matrix.faces_with_tag("left"):

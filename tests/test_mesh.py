@@ -5,6 +5,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from faultflow.mesh import (
     InterfaceMap,
@@ -122,10 +124,6 @@ def test_interface_maps_are_coincident_bijections():
         fmeas = geom.matrix.face_measures[imap.pairs[:, 0]]
         cmeas = dmesh.cell_measures[imap.pairs[:, 1]]
         assert np.abs(fmeas - cmeas).max() < 1e-12
-        gmap = geom.damage_fault[side]
-        dcent = dmesh.cell_centroids()[gmap.pairs[:, 0]]
-        fcent = geom.fault.cell_centroids()[gmap.pairs[:, 1]]
-        assert np.linalg.norm(dcent - fcent, axis=1).max() < 1e-12
 
 
 def test_total_measures():
@@ -136,9 +134,9 @@ def test_total_measures():
 
 def test_geometry_validation_catches_tampering():
     geom = build_two_block_geometry(2, 2)
-    broken = InterfaceMap(geom.damage_fault["left"].pairs[:-1], "left")
-    geom.damage_fault["left"] = broken
-    with pytest.raises(TopologyError, match="fault cell"):
+    broken = InterfaceMap(geom.matrix_damage["left"].pairs[:-1], "left")
+    geom.matrix_damage["left"] = broken
+    with pytest.raises(TopologyError, match="1 pairs for 2 surface cells"):
         geom.validate()
 
 
@@ -228,9 +226,97 @@ def test_3d_generator_reproduces_bundled_mesh(tmp_path):
 
 def test_import_reports_parse_errors_with_line(tmp_path):
     path = tmp_path / "bad.msh"
-    path.write_text("[domain matrix dim=2]\nv 0 0 0\nv nonsense 0 0\n")
-    with pytest.raises(MeshFormatError, match="line 3"):
+    for bad in (
+        "v nonsense 0 0",
+        "v 0 0",
+        "v nan 0.0 0.0",
+        "v 0 inf 0",
+        "v 0 0 -inf",
+        "v 1e400 0 0",
+    ):
+        path.write_text(f"[domain matrix dim=2]\nv 0 0 0\n{bad}\n")
+        with pytest.raises(MeshFormatError, match="line 3"):
+            import_mesh(path)
+
+
+def test_import_requires_damage_sections_to_repeat_the_fault(tmp_path):
+    path = tmp_path / "geom.msh"
+    export_mesh(build_two_block_geometry(2, 2), path)
+    lines = path.read_text().splitlines()
+
+    # one vertex of the right damage layer moved off the fault
+    damage_right = lines.index("[domain damage_right dim=1]")
+    x, y, z = lines[damage_right + 1].split()[1:]
+    edited = list(lines)
+    edited[damage_right + 1] = f"v {x} {float(y) + 1e-3!r} {z}"
+    path.write_text("\n".join(edited) + "\n")
+    with pytest.raises(TopologyError, match="damage layer right"):
         import_mesh(path)
+
+    # two pairs of the left damage/fault map swapped
+    damage_fault = next(
+        i for i, line in enumerate(lines)
+        if line.startswith("[interface damage_fault_left")
+    )
+    assert lines[damage_fault + 1 : damage_fault + 3] == ["p 0 0", "p 1 1"]
+    edited = list(lines)
+    edited[damage_fault + 1 : damage_fault + 3] = ["p 0 1", "p 1 0"]
+    path.write_text("\n".join(edited) + "\n")
+    with pytest.raises(TopologyError, match="damage/fault map left"):
+        import_mesh(path)
+
+
+MANGLE_TOKENS = ("0", "-1", "1", "99999", "x", "1.5", "nan", "inf", "1e400")
+
+
+@st.composite
+def _mangled(draw, lines):
+    """``lines`` with one to three lines dropped, duplicated, or with one
+    token replaced."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        action = draw(st.sampled_from(("drop", "duplicate", "change")))
+        if action == "drop":
+            del lines[i]
+        elif action == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            tokens = lines[i].split()
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(
+                st.sampled_from(MANGLE_TOKENS)
+            )
+            lines[i] = " ".join(tokens)
+    return lines
+
+
+@pytest.fixture(scope="module")
+def small_mesh_lines(tmp_path_factory):
+    path = tmp_path_factory.mktemp("mesh") / "two_block.msh"
+    export_mesh(build_two_block_geometry(3, 2), path)
+    return path.read_text().splitlines()
+
+
+@settings(
+    max_examples=200,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_import_refuses_or_returns_finite_geometry(
+    small_mesh_lines, tmp_path, data
+):
+    # a damaged file ends in a MeshError or in a geometry with finite
+    # vertices: never in another exception or in NaN coordinates
+    lines = data.draw(_mangled(small_mesh_lines))
+    path = tmp_path / "mangled.msh"
+    path.write_text("\n".join(lines) + "\n")
+    try:
+        geom = import_mesh(path)
+    except MeshError:
+        return
+    for mesh in geom.domains.values():
+        assert np.all(np.isfinite(mesh.vertices))
 
 
 def test_import_reports_missing_pair(tmp_path):

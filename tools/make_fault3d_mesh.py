@@ -8,7 +8,8 @@ into prisms and then tetrahedra.  Prism splitting follows the
 minimum-vertex diagonal rule, so every quadrilateral is triangulated
 through its smallest global vertex and neighbouring prisms always agree;
 the same rule fixes the plane triangulation, which both blocks and the
-three surface meshes therefore share exactly.
+one surface mesh of the fault therefore share exactly.  The mesh file
+repeats that surface mesh for each damage layer.
 
 The upper block pairs with the "left" damage layer, the lower block with
 the "right" one.  Vertical resolution is finer towards the top of the
@@ -110,17 +111,12 @@ def build_geometry(nx: int, ny: int) -> MixedDimGeometry:
                 tets.extend(_prism_tets(bottom, top))
     matrix = SimplicialMesh(3, verts, _orient_positive(tets, verts))
 
-    # surface meshes share one triangulation of the fault plane; the
-    # diagonal of every quad goes through its (i, j) corner, exactly as
-    # the minimum-vertex rule triangulated the block faces on the plane
+    # the surface mesh triangulates the fault plane with the diagonal of
+    # every quad through its (i, j) corner, exactly as the minimum-vertex
+    # rule triangulated the block faces on the plane
     splane, surf_cells = _square_grid(xs, ys)
     splane[:, 2] = fault_z(splane[:, 0])
-
-    damage = {
-        s: SimplicialMesh(2, splane.copy(), surf_cells.copy())
-        for s in SIDES
-    }
-    fault = SimplicialMesh(2, splane.copy(), surf_cells.copy())
+    fault = SimplicialMesh(2, splane, surf_cells)
 
     face_of = {tuple(tri): f for f, tri in enumerate(matrix.faces.tolist())}
     # plane vertex i * (ny + 1) + j is block vertex (i, k, j) of a side
@@ -139,14 +135,6 @@ def build_geometry(nx: int, ny: int) -> MixedDimGeometry:
             pairs.append((face_of[key], cell))
         matrix_damage[side] = InterfaceMap(pairs, side)
 
-    n_surf = len(surf_cells)
-    damage_fault = {
-        side: InterfaceMap(
-            np.column_stack([np.arange(n_surf), np.arange(n_surf)]), side
-        )
-        for side in SIDES
-    }
-
     for side in SIDES:
         for f in matrix_damage[side].pairs[:, 0]:
             matrix.boundary_tags[int(f)] = f"plane_{side}"
@@ -154,9 +142,7 @@ def build_geometry(nx: int, ny: int) -> MixedDimGeometry:
         if int(f) not in matrix.boundary_tags:
             matrix.boundary_tags[int(f)] = "boundary"
 
-    geometry = MixedDimGeometry(
-        matrix, damage, fault, matrix_damage, damage_fault
-    )
+    geometry = MixedDimGeometry(matrix, fault, matrix_damage)
     geometry.validate()
     return geometry
 
