@@ -23,11 +23,11 @@ exchange inflow from both sides.  Essential (flux) boundary data is imposed
 by symmetric elimination: unit diagonal rows with right-hand-side fixups,
 so symmetry survives.
 
-The global unknown vector orders the same unknowns by field (see
-``FIELDS`` and ``BlockSystem.offsets``):
+The global unknown vector is [u; p], its fields in the order in which F
+and C are assembled (see ``FIELDS`` and ``BlockSystem.offsets``):
 
-    matrix_flux | matrix_pressure | damage_flux | damage_pressure |
-    fault_flux  | fault_pressure  | exchange_flux
+    matrix_flux | damage_flux | fault_flux | exchange_flux |
+    matrix_pressure | damage_pressure | fault_pressure
 """
 
 from __future__ import annotations
@@ -249,12 +249,12 @@ class SourceField:
 
 FIELDS = (
     "matrix_flux",
-    "matrix_pressure",
     "damage_flux",
-    "damage_pressure",
     "fault_flux",
-    "fault_pressure",
     "exchange_flux",
+    "matrix_pressure",
+    "damage_pressure",
+    "fault_pressure",
 )
 
 
@@ -264,13 +264,13 @@ class BlockSystem:
 
     ``F`` (flux x flux), ``C`` (flux x pressure) and the right-hand sides
     ``g`` (flux) and ``f`` (pressure) are the blocks of [[F, C], [C', 0]],
-    after essential elimination.  ``flux_index`` and ``pressure_index``
-    place the flux and pressure unknowns in the global vector, whose fields
-    ``offsets`` maps to slices; ``matrix`` and ``rhs`` are the full
-    symmetric operator and its right-hand side in that order.
-    ``eliminated`` maps eliminated global flux dofs to their imposed
-    values; ``anchors`` lists the pressure unknowns (indices into p) of the
-    cells owning a boundary pressure face.
+    after essential elimination.  ``matrix`` and ``rhs`` are that full
+    symmetric operator and its right-hand side [g; f], acting on the
+    global vector [u; p]; ``offsets`` maps the fields of that vector to
+    slices.  ``eliminated`` maps eliminated flux dofs (positions in u, and
+    so in the global vector) to their imposed values; ``anchors`` lists
+    the pressure unknowns (indices into p) of the cells owning a boundary
+    pressure face.
     """
 
     geometry: MixedDimGeometry
@@ -279,35 +279,28 @@ class BlockSystem:
     C: sps.csr_array
     g: np.ndarray
     f: np.ndarray
-    flux_index: np.ndarray
-    pressure_index: np.ndarray
     offsets: dict[str, slice]
     eliminated: dict[int, float]
     anchors: np.ndarray
     source_integrals: dict[str, np.ndarray] = field(default_factory=dict)
 
-    _matrix: sps.csr_array | None = None
+    _matrix: sps.csr_array | None = field(
+        default=None, init=False, repr=False
+    )
 
     @property
     def n_dofs(self) -> int:
-        return self.offsets[FIELDS[-1]].stop
+        return self.F.shape[0] + self.C.shape[1]
 
     @property
     def matrix(self) -> sps.csr_array:
         if self._matrix is None:
-            self._matrix = _saddle_matrix(
-                self.F,
-                self.C,
-                np.concatenate([self.flux_index, self.pressure_index]),
-            )
+            self._matrix = _saddle_matrix(self.F, self.C)
         return self._matrix
 
     @property
     def rhs(self) -> np.ndarray:
-        b = np.empty(self.n_dofs)
-        b[self.flux_index] = self.g
-        b[self.pressure_index] = self.f
-        return b
+        return np.concatenate([self.g, self.f])
 
     def split(self, x: np.ndarray) -> dict[str, np.ndarray]:
         return {name: x[self.offsets[name]] for name in FIELDS}
@@ -319,15 +312,9 @@ class BlockSystem:
         return dict(zip(SIDES, np.split(values, 2)))
 
 
-def _saddle_matrix(F, C, order: np.ndarray | None = None) -> sps.csr_array:
-    """The symmetric operator [[F, C], [C', 0]], with row and column i
-    moved to position ``order[i]`` (default: left in place)."""
-    K = sps.coo_array(sps.bmat([[F, C], [C.T, None]], format="coo"))
-    if order is not None:
-        K = sps.coo_array(
-            (K.data, (order[K.row], order[K.col])), shape=K.shape
-        )
-    return sps.csr_array(K.tocsr())
+def _saddle_matrix(F, C) -> sps.csr_array:
+    """The symmetric operator [[F, C], [C', 0]]."""
+    return sps.bmat([[F, C], [C.T, None]], format="csr")
 
 
 def assemble(
@@ -425,25 +412,20 @@ def assemble(
     )
     F, C, g, f = _eliminate_field(F, C, g, f, values)
 
-    # -- the field layout of the global vector ----------------------------
+    # -- the field layout of the global vector [u; p] ---------------------
     sizes = {
         "matrix_flux": geometry.matrix.n_faces,
-        "matrix_pressure": geometry.matrix.n_cells,
         "damage_flux": 2 * fault.n_faces,
-        "damage_pressure": 2 * fault.n_cells,
         "fault_flux": fault.n_faces,
-        "fault_pressure": fault.n_cells,
         "exchange_flux": n_exchange,
+        "matrix_pressure": geometry.matrix.n_cells,
+        "damage_pressure": 2 * fault.n_cells,
+        "fault_pressure": fault.n_cells,
     }
     offsets, start = {}, 0
     for name in FIELDS:
         offsets[name] = slice(start, start + sizes[name])
         start += sizes[name]
-
-    def index(kind):
-        return np.r_[tuple(v for k, v in offsets.items() if k.endswith(kind))]
-
-    flux_index = index("_flux")
     fixed = ~np.isnan(values)
     return BlockSystem(
         geometry=geometry,
@@ -452,11 +434,9 @@ def assemble(
         C=C,
         g=g,
         f=f,
-        flux_index=flux_index,
-        pressure_index=index("_pressure"),
         offsets=offsets,
         eliminated=dict(
-            zip(flux_index[fixed].tolist(), values[fixed].tolist())
+            zip(np.flatnonzero(fixed).tolist(), values[fixed].tolist())
         ),
         anchors=np.array(
             [

@@ -92,7 +92,8 @@ def _direct_solve(A: sps.csc_array, rhs: np.ndarray) -> np.ndarray:
 
 @dataclass
 class MixedSolution:
-    """All seven unknown fields of one solve, plus the raw vector."""
+    """All seven unknown fields of one solve, plus the global vector
+    [u; p] they are slices of."""
 
     matrix_flux: np.ndarray
     matrix_pressure: np.ndarray
@@ -166,14 +167,11 @@ class PressureSchur:
         return out
 
     def expand(self, p: np.ndarray) -> np.ndarray:
-        """The global vector of pressures ``p`` and the fluxes
+        """The global vector [u; p] of pressures ``p`` and the fluxes
         u = F^-1 (g - C p); eliminated dofs come back with their imposed
         values because their rows were reduced to the identity."""
         s = self.system
-        x = np.empty(s.n_dofs)
-        x[s.flux_index] = self._lu.solve(s.g - s.C @ p)
-        x[s.pressure_index] = p
-        return x
+        return np.concatenate([self._lu.solve(s.g - s.C @ p), p])
 
 
 def build_pressure_schur(system: BlockSystem) -> PressureSchur:

@@ -721,7 +721,8 @@ def sweep(
     For each thickness and mode: solve the reduced problem at grid
     spacings ``h`` and ``h2``, solve the layered reference with strip
     resolution ``eps / 4``, and record the error bracket.  Every thickness
-    and spacing must be finite and positive (ConfigError otherwise).
+    and spacing must be finite and positive, and 1/h and 1/h2 must lie
+    within 1e-9 of a whole number of cells (ConfigError otherwise).
     """
     if config.geometry_kind != "two_block":
         raise ConfigError("sweep needs a two_block scenario")
@@ -737,6 +738,19 @@ def sweep(
                 raise ConfigError(
                     f"sweep {name} must be finite and positive, got {value!r}"
                 )
+    grids = []
+    for name, spacing in (("h", float(h)), ("h2", float(h2))):
+        cells = 1.0 / spacing
+        if not (
+            math.isfinite(cells)
+            and round(cells) >= 1
+            and abs(cells - round(cells)) <= 1e-9
+        ):
+            raise ConfigError(
+                f"sweep {name} must be finite and positive with 1/{name} a "
+                f"whole number of cells, got {spacing!r}"
+            )
+        grids.append(round(cells))
     rows = []
     for eps in eps_values:
         for mode in modes:
@@ -748,7 +762,7 @@ def sweep(
                 cfg, eta=0.25 * float(eps), eta_coarse=eta_coarse
             )
             reduced = []
-            for n in (round(1.0 / h), round(1.0 / h2)):
+            for n in grids:
                 _release_free_heap()
                 system, solution, _ = _solve(
                     replace(cfg, nx=n, ny=n, solver="saddle")

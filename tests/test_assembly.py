@@ -10,7 +10,10 @@ elimination done densely on the composed matrix.  Everything must agree to
 
 import numpy as np
 import pytest
+import scipy.sparse as sps
 import scipy.sparse.linalg as spla
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faultflow.assembly import (
     SIDES,
@@ -19,6 +22,12 @@ from faultflow.assembly import (
     SourceField,
     assemble,
     coefficients_from_mode,
+)
+from faultflow.linsolve import (
+    conservation_residuals,
+    global_balance,
+    interface_law_residuals,
+    solve_saddle,
 )
 from faultflow.mesh import MeshError, build_two_block_geometry
 from helpers import series_setup, series_solution_vector
@@ -78,12 +87,12 @@ def dense_operator(geometry, coeff, bc, sources):
 
     sizes = {
         "matrix_flux": geometry.matrix.n_faces,
-        "matrix_pressure": geometry.matrix.n_cells,
         "damage_flux": sum(geometry.damage[s].n_faces for s in SIDES),
-        "damage_pressure": sum(geometry.damage[s].n_cells for s in SIDES),
         "fault_flux": geometry.fault.n_faces,
-        "fault_pressure": geometry.fault.n_cells,
         "exchange_flux": 2 * geometry.fault.n_cells,
+        "matrix_pressure": geometry.matrix.n_cells,
+        "damage_pressure": sum(geometry.damage[s].n_cells for s in SIDES),
+        "fault_pressure": geometry.fault.n_cells,
     }
     names = list(sizes)
     offs, total = {}, 0
@@ -292,6 +301,68 @@ def test_solution_of_dense_and_sparse_agree():
     x_dense = np.linalg.solve(dense, rhs)
     x_sparse = spla.spsolve(system.matrix.tocsc(), system.rhs)
     assert np.max(np.abs(x_dense - x_sparse)) <= 1e-10
+
+
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_random_two_block_systems_are_well_formed(data):
+    # log-uniform coefficients per cell and a random pressure/flux/none
+    # split of the external faces, at least one of them a pressure face
+    geometry = build_two_block_geometry(
+        data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    )
+
+    def draw(n):
+        exponents = st.lists(st.floats(-3, 3), min_size=n, max_size=n)
+        return 10.0 ** np.array(data.draw(exponents))
+
+    n_fault = geometry.fault.n_cells
+    coeff = CoefficientSet.for_geometry(
+        geometry,
+        matrix_resist=draw(geometry.matrix.n_cells),
+        damage_resist={s: draw(n_fault) for s in SIDES},
+        fault_resist=draw(n_fault),
+        matrix_damage_resist={s: draw(n_fault) for s in SIDES},
+        damage_fault_resist={s: draw(n_fault) for s in SIDES},
+    )
+    faces = [
+        (dom, int(f))
+        for dom in geometry.domains
+        for f in geometry.external_faces(dom)
+    ]
+    n = len(faces)
+    kinds = data.draw(
+        st.lists(
+            st.sampled_from(("pressure", "flux", "none")),
+            min_size=n,
+            max_size=n,
+        )
+    )
+    kinds[data.draw(st.integers(0, n - 1))] = "pressure"
+    values = data.draw(st.lists(st.floats(-1, 1), min_size=n, max_size=n))
+    bc = BoundaryConditions()
+    for face, kind, value in zip(faces, kinds, values):
+        if kind != "none":
+            getattr(bc, kind)[face] = value
+    system = assemble(geometry, coeff, bc)
+
+    F = system.F.toarray()
+    assert np.max(np.abs(F - F.T)) <= 1e-13 * np.max(np.abs(F))
+    np.linalg.cholesky(F)
+    # the global vector is [u; p]
+    saddle = sps.bmat([[system.F, system.C], [system.C.T, None]])
+    assert np.array_equal(system.matrix.toarray(), saddle.toarray())
+    assert np.array_equal(system.rhs, np.concatenate([system.g, system.f]))
+
+    solution = solve_saddle(system)
+    conservation = conservation_residuals(system, solution)
+    for name in ("matrix", "damage", "fault"):
+        assert np.max(np.abs(conservation[name])) <= 1e-10
+    laws = interface_law_residuals(system, solution)
+    for side in SIDES:
+        assert np.max(np.abs(laws["matrix_damage"][side])) <= 1e-9
+        assert np.max(np.abs(laws["damage_fault"][side])) <= 1e-9
+    assert abs(global_balance(system, solution)) <= 1e-9
 
 
 # ---------------------------------------------------------------------------

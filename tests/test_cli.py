@@ -155,6 +155,8 @@ def test_sweep_rejects_bad_eps(mini_config, capsys):
         (["--eps", "1e-2", "--h", "nan"], "h"),
         (["--eps", "1e-2", "--h", "0"], "h"),
         (["--eps", "1e-2", "--h2", "-0.5"], "h2"),
+        (["--eps", "1e-2", "--h", "3"], "h"),
+        (["--eps", "1e-2", "--h2", "0.7"], "h2"),
         (["--eps", "1e-2", "--eta-coarse", "-1"], "eta_coarse"),
     ):
         assert main(["sweep", str(mini_config), *extra]) == 1, extra

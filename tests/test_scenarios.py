@@ -2,6 +2,8 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from faultflow.mesh import build_two_block_geometry
 from faultflow.scenarios import (
@@ -88,6 +90,37 @@ def test_parse_errors_carry_line_numbers():
         with pytest.raises(ConfigError) as err:
             parse_config(text)
         assert needle in str(err.value), text
+
+
+# the words of every directive, and tokens a number parser may trip on
+DIRECTIVE_WORDS = (
+    "coeff", "bc", "geometry", "nx", "ny", "eps_mu", "eps_gamma", "mode",
+    "solver", "name", "output_dir", "two_block", "mesh", "matrix", "damage",
+    "damage_left", "damage_right", "fault", "layers", "pressure", "flux",
+    "on", "where", "and", "x", "y", "z", "<", "<=", ">", ">=", "literal",
+    "permeability", "saddle", "schur", "matrix:left", "layers:y0",
+    "fault:boundary", "x<0.5", "0", "1", "-1", "2.5", "1e-2", "1e400",
+    "nan", "-inf", "#", ":",
+)
+
+
+@settings(max_examples=500, deadline=None)
+@given(
+    text=st.one_of(
+        st.text(),
+        st.lists(
+            st.lists(
+                st.sampled_from(DIRECTIVE_WORDS), min_size=1, max_size=8
+            ).map(" ".join),
+            max_size=8,
+        ).map("\n".join),
+    )
+)
+def test_parse_config_raises_only_config_error(text):
+    try:
+        parse_config(text)
+    except ConfigError:
+        pass
 
 
 def test_parse_requires_geometry_and_coefficients():
