@@ -77,7 +77,7 @@ def solve_equidim(
     f = -q * mesh.cell_measures
     fixed = _essential_flux_values(mesh, boundary, pressure_bc, flux_bc)
     F, C, g, f = _eliminate_field(F, C, g, f, fixed)
-    x = _direct_solve(_saddle_matrix(F, C).tocsc(), np.concatenate([g, f]))
+    x = _direct_solve(F, C, g, f, _saddle_matrix(F, C))
     return EquiDimSolution(
         flux=x[: mesh.n_faces], pressure=x[mesh.n_faces :]
     )

@@ -325,6 +325,14 @@ def parse_config(text: str, name: str = "scenario",
                     f"line {lineno}: {head} must be a positive integer"
                 )
             setattr(config, head, int(value))
+            # 4 nx ny matrix cells, indexed in int32 by SuperLU and by
+            # scipy's sparse arrays
+            cells = 4 * (config.nx or 1) * (config.ny or 1)
+            if cells > 2**31 - 1:
+                raise ConfigError(
+                    f"line {lineno}: {head} {body} gives {cells:.3g} matrix "
+                    "cells (4 nx ny), over the 2^31 - 1 index limit"
+                )
 
         elif head in ("eps_mu", "eps_gamma"):
             value = _number(body, lineno, head)

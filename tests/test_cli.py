@@ -73,6 +73,7 @@ def test_config_error_exits_1_with_line(tmp_path, capsys):
     for bad in (
         "frobnicate 1",
         "nx 1e400",
+        "nx 1e300",
         "nx nan",
         "eps_mu nan",
         "bc pressure nan on matrix:left",

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
+from faultflow import equidim
 from faultflow.equidim import solve_equidim
-from faultflow.linsolve import SolverError
+from faultflow.linsolve import SolverError, _direct_solve
 from faultflow.mesh import MeshError, build_layered_equidim_mesh
 
 
@@ -93,6 +94,31 @@ def test_local_conservation_with_heterogeneity():
         for f, s in zip(mesh.cell_faces[c], mesh.cell_face_signs[c]):
             net[c] += s * solution.flux[f]
     assert np.max(np.abs(net)) <= 1e-12
+
+
+def test_high_contrast_strips_match_dense_solve(monkeypatch):
+    # a fault core of resistance 1e-6 between damage strips of 1e6: the
+    # pressures of the sparse solve must match a dense solve of the same
+    # system
+    systems = []
+
+    def spy(F, C, g, f, K):
+        systems.append((K, np.concatenate([g, f])))
+        return _direct_solve(F, C, g, f, K)
+
+    monkeypatch.setattr(equidim, "_direct_solve", spy)
+    mesh = build_layered_equidim_mesh(0.2, 0.1, eta=0.05, eta_coarse=0.25)
+    resist = {"matrix": 1.0, "damage_left": 1e6, "damage_right": 1e6,
+              "fault": 1e-6}
+    per_cell = np.array([resist[r] for r in mesh.cell_regions])
+    solution = solve_equidim(
+        mesh, per_cell, pressure_bc=boundary_bc(mesh, 0.0, 1.0)
+    )
+    (K, b), = systems
+    dense = np.linalg.solve(K.toarray(), b)[mesh.n_faces :]
+    assert np.max(np.abs(solution.pressure - dense)) <= 1e-9 * np.max(
+        np.abs(dense)
+    )
 
 
 def test_bc_validation():

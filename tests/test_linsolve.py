@@ -10,7 +10,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from faultflow import linsolve
 from faultflow.assembly import (
     BoundaryConditions,
     CoefficientSet,
@@ -257,6 +260,41 @@ def test_schur_and_saddle_agree_on_random_problems():
         ), f"trial {trial}"
 
 
+@settings(max_examples=30, deadline=None)
+@given(data=st.data())
+def test_saddle_solve_matches_dense_solve_at_high_contrast(data):
+    # every resistance log-uniform over twelve decades, driven by left and
+    # right matrix pressures
+    geometry = build_two_block_geometry(
+        data.draw(st.integers(1, 4)), data.draw(st.integers(1, 4))
+    )
+
+    def draw(n):
+        exponents = st.lists(st.floats(-6, 6), min_size=n, max_size=n)
+        return 10.0 ** np.array(data.draw(exponents))
+
+    n_fault = geometry.fault.n_cells
+    coeff = CoefficientSet.for_geometry(
+        geometry,
+        matrix_resist=draw(geometry.matrix.n_cells),
+        damage_resist={s: draw(n_fault) for s in SIDES},
+        fault_resist=draw(n_fault),
+        matrix_damage_resist={s: draw(n_fault) for s in SIDES},
+        damage_fault_resist={s: draw(n_fault) for s in SIDES},
+    )
+    bc = BoundaryConditions()
+    for tag in ("left", "right"):
+        value = data.draw(st.integers(-1000, 1000)) / 1000
+        for f in geometry.matrix.faces_with_tag(tag):
+            bc.pressure[("matrix", int(f))] = value
+    system = assemble(geometry, coeff, bc)
+
+    pressure = slice(system.F.shape[0], None)
+    dense = np.linalg.solve(system.matrix.toarray(), system.rhs)[pressure]
+    direct = solve_saddle(system).vector[pressure]
+    assert np.max(np.abs(direct - dense)) <= 1e-9 * np.max(np.abs(dense))
+
+
 def test_one_sided_damage_asymmetry():
     geometry = build_two_block_geometry(6, 6)
     y = geometry.fault.cell_centroids()[:, 1]
@@ -398,6 +436,28 @@ def test_island_without_boundary_pressure_is_reported():
     with pytest.raises(SolverError, match="no boundary pressure") as exc:
         solve_schur(system)
     assert island_cell in str(exc.value)
+
+
+def test_non_finite_right_hand_side_is_a_solver_error():
+    system = interface_case(3)
+    g = system.g.copy()
+    g[0] = np.nan
+    with pytest.raises(SolverError, match="non-finite"):
+        linsolve._direct_solve(system.F, system.C, g, system.f, system.matrix)
+
+
+def test_unconverged_refinement_is_a_solver_error(monkeypatch):
+    # a regularization 1e12 times too strong: each refinement step then
+    # removes far less than half of the error
+    lumped = linsolve._lumped_complement
+    monkeypatch.setattr(
+        linsolve, "_lumped_complement", lambda F, C: 1e12 * lumped(F, C)
+    )
+    system = interface_case(3)
+    with pytest.raises(SolverError, match="did not converge"):
+        linsolve._direct_solve(
+            system.F, system.C, system.g, system.f, system.matrix
+        )
 
 
 def test_zero_data_yields_zero_solution():

@@ -9,7 +9,9 @@ solver route (saddle, schur), ``run_scenario`` writes its VTK files and
 case_iii, ``sweep`` writes the thickness-sweep table at eps 1e-2, 5e-3 and
 2.5e-3, both coefficient modes, into ``DIR/sweep_<case>.csv``.
 
-Two snapshots taken from two checkouts are compared with ``diff -r``.
+Two snapshots taken from two checkouts are compared with
+``tools/compare_snapshots.py BEFORE AFTER``, which allows round-off
+differences, or with ``diff -r`` where the outputs must be byte-identical.
 Only the public API is used, so the script runs unchanged against older
 checkouts.
 """
