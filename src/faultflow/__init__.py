@@ -59,7 +59,7 @@ from .scenarios import (
     run_scenario,
     sweep,
 )
-from .vtk_io import check_vtk_file, write_vtk
+from .vtk_io import write_vtk
 
 __version__ = "0.1.0"
 
@@ -88,7 +88,6 @@ __all__ = [
     "build_two_block_geometry",
     "bundled_config",
     "cell_velocities",
-    "check_vtk_file",
     "coefficients_from_mode",
     "conservation_residuals",
     "equidim_reference",

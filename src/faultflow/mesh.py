@@ -342,7 +342,7 @@ class MixedDimGeometry:
 
     @property
     def domains(self) -> dict[str, SimplicialMesh]:
-        """The meshes by domain name, in mesh-file order."""
+        """The meshes by domain name, in the order of the unknowns."""
         return {
             "matrix": self.matrix,
             "damage_left": self.fault,
@@ -368,6 +368,14 @@ class MixedDimGeometry:
             raise TopologyError("fault must be one dimension below the matrix")
         for side in SIDES:
             self._check_matrix_damage(side)
+        shared = np.intersect1d(
+            *(self.matrix_damage[s].pairs[:, 0] for s in SIDES)
+        )
+        if len(shared):
+            raise TopologyError(
+                f"matrix face {int(shared[0])} is paired with both damage "
+                "layers"
+            )
         self._check_internal_tags()
 
     def _check_matrix_damage(self, side: str) -> None:
@@ -619,17 +627,9 @@ def build_layered_equidim_mesh(
 #  text mesh format
 # ---------------------------------------------------------------------- #
 
-_INTERFACE_KEYS = {
-    ("matrix", "damage_left"): ("matrix_damage", "left"),
-    ("matrix", "damage_right"): ("matrix_damage", "right"),
-    ("damage_left", "fault"): ("damage_fault", "left"),
-    ("damage_right", "fault"): ("damage_fault", "right"),
-}
-# every domain ends some interface; in mesh-file order (that of
-# MixedDimGeometry.domains)
-_FILE_DOMAINS = tuple(
-    dict.fromkeys(name for ends in _INTERFACE_KEYS for name in ends)
-)
+# in mesh-file order; one interface per side runs from the matrix to the
+# fault surface
+_FILE_DOMAINS = ("matrix", "fault")
 
 
 def export_mesh(geometry: MixedDimGeometry, path) -> None:
@@ -638,14 +638,12 @@ def export_mesh(geometry: MixedDimGeometry, path) -> None:
     Domain sections list vertices (``v x y z``) and cells (``c i0 i1 ...``);
     interface sections list ``p higher_entity lower_cell`` pairs, with face
     indices valid under the deterministic face derivation of SimplicialMesh.
-    The format keeps one section per damage layer and one damage/fault map
-    per side: each damage section repeats the fault mesh, and each
-    damage/fault map pairs cell i with cell i.
+    The file holds the matrix and fault domains and one matrix/damage map
+    per side, which pairs matrix faces with cells of the fault surface.
     """
-    n = geometry.fault.n_cells
-    identity = np.column_stack([np.arange(n), np.arange(n)])
     lines = []
-    for name, mesh in geometry.domains.items():
+    for name in _FILE_DOMAINS:
+        mesh = getattr(geometry, name)
         lines.append(f"[domain {name} dim={mesh.dim}]")
         for v in mesh.vertices:
             lines.append(
@@ -653,14 +651,12 @@ def export_mesh(geometry: MixedDimGeometry, path) -> None:
             )
         for cell in mesh.cells:
             lines.append("c " + " ".join(str(int(i)) for i in cell))
-    for (src, dst), (attr, side) in _INTERFACE_KEYS.items():
-        pairs = (
-            geometry.matrix_damage[side].pairs
-            if attr == "matrix_damage"
-            else identity
+    for side in SIDES:
+        lines.append(
+            f"[interface matrix_damage_{side} from=matrix to=fault "
+            f"side={side}]"
         )
-        lines.append(f"[interface {attr}_{side} from={src} to={dst} side={side}]")
-        for h, l in pairs:
+        for h, l in geometry.matrix_damage[side].pairs:
             lines.append(f"p {int(h)} {int(l)}")
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -669,99 +665,107 @@ def export_mesh(geometry: MixedDimGeometry, path) -> None:
 def import_mesh(path) -> MixedDimGeometry:
     """Read a geometry written in the plain-text mesh format and validate it.
 
-    Only the matrix and fault sections become meshes.  Each damage section
-    must repeat the fault section (same vertex count, same cell lines,
-    coordinates within 1e-9), and each damage/fault map must pair cell i
-    with cell i; a renumbered copy is refused.
+    The file must hold the matrix and fault domains and one matrix/damage
+    interface per side, each once; any other domain, such as a damage
+    layer section, is refused.
 
-    Raises MeshFormatError (with line numbers) on malformed input, non-finite
-    coordinates included, and TopologyError (naming the entities or the
-    side involved) when the interface pairing or mesh connectivity is
-    inconsistent.
+    Raises MeshFormatError (with line numbers) on unreadable or malformed
+    input, non-finite coordinates included, and TopologyError (naming the
+    entities or the side involved) when the interface pairing or mesh
+    connectivity is inconsistent.
     """
-    domains: dict[str, dict] = {}
-    interfaces: list[dict] = []
-    current: dict | None = None
+    try:
+        with open(path) as fh:
+            text = fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise MeshFormatError(f"cannot read {path}: {exc}") from exc
 
-    with open(path) as fh:
-        for lineno, rawline in enumerate(fh, start=1):
-            line = rawline.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if line.startswith("["):
-                current = _parse_section_header(line, lineno)
-                if current["kind"] == "domain":
-                    name = current["name"]
-                    if name in domains:
-                        raise MeshFormatError(
-                            f"duplicate domain {name!r}", lineno
-                        )
-                    domains[name] = current
-                else:
-                    interfaces.append(current)
-                continue
-            if current is None:
-                raise MeshFormatError(
-                    "data line before any section header", lineno
-                )
-            kind = line.split(None, 1)[0]
-            if kind == "v" and current["kind"] == "domain":
-                parts = line.split()
-                if len(parts) != 4:
-                    raise MeshFormatError(
-                        "vertex line must be 'v x y z'", lineno
-                    )
-                try:
-                    vertex = [float(p) for p in parts[1:]]
-                except ValueError:
-                    raise MeshFormatError(
-                        "vertex coordinates are not numbers", lineno
-                    ) from None
-                if not all(map(math.isfinite, vertex)):
-                    raise MeshFormatError(
-                        "vertex coordinates must be finite", lineno
-                    )
-                current["verts"].append(vertex)
-            elif kind == "c" and current["kind"] == "domain":
-                parts = line.split()[1:]
-                try:
-                    cell = [int(p) for p in parts]
-                except ValueError:
-                    raise MeshFormatError(
-                        "cell indices are not integers", lineno
-                    ) from None
-                if len(cell) != current["dim"] + 1:
-                    raise MeshFormatError(
-                        f"cell needs {current['dim'] + 1} vertices for a "
-                        f"dim={current['dim']} domain, got {len(cell)}",
-                        lineno,
-                    )
-                current["cells"].append(cell)
-            elif kind == "p" and current["kind"] == "interface":
-                parts = line.split()[1:]
-                if len(parts) != 2:
-                    raise MeshFormatError(
-                        "pair line must be 'p higher lower'", lineno
-                    )
-                try:
-                    current["pairs"].append((int(parts[0]), int(parts[1])))
-                except ValueError:
-                    raise MeshFormatError(
-                        "pair indices are not integers", lineno
-                    ) from None
+    domains: dict[str, dict] = {}
+    interfaces: dict[str, dict] = {}
+    current: dict | None = None
+    for lineno, rawline in enumerate(text.split("\n"), start=1):
+        line = rawline.split("#", 1)[0].strip()
+        if not line:
+            continue
+        if line.startswith("["):
+            current = _parse_section_header(line, lineno)
+            if current["kind"] == "domain":
+                table, key = domains, current["name"]
             else:
+                table, key = interfaces, current["side"]
+            if key in table:
                 raise MeshFormatError(
-                    f"unexpected line kind {kind!r} in "
-                    f"{current['kind']} section",
+                    f"duplicate {current['kind']} {key!r}", lineno
+                )
+            table[key] = current
+            continue
+        if current is None:
+            raise MeshFormatError(
+                "data line before any section header", lineno
+            )
+        kind = line.split(None, 1)[0]
+        if kind == "v" and current["kind"] == "domain":
+            parts = line.split()
+            if len(parts) != 4:
+                raise MeshFormatError(
+                    "vertex line must be 'v x y z'", lineno
+                )
+            try:
+                vertex = [float(p) for p in parts[1:]]
+            except ValueError:
+                raise MeshFormatError(
+                    "vertex coordinates are not numbers", lineno
+                ) from None
+            if not all(map(math.isfinite, vertex)):
+                raise MeshFormatError(
+                    "vertex coordinates must be finite", lineno
+                )
+            current["verts"].append(vertex)
+        elif kind == "c" and current["kind"] == "domain":
+            parts = line.split()[1:]
+            try:
+                cell = [int(p) for p in parts]
+            except ValueError:
+                raise MeshFormatError(
+                    "cell indices are not integers", lineno
+                ) from None
+            if len(cell) != current["dim"] + 1:
+                raise MeshFormatError(
+                    f"cell needs {current['dim'] + 1} vertices for a "
+                    f"dim={current['dim']} domain, got {len(cell)}",
                     lineno,
                 )
+            current["cells"].append(cell)
+        elif kind == "p" and current["kind"] == "interface":
+            parts = line.split()[1:]
+            if len(parts) != 2:
+                raise MeshFormatError(
+                    "pair line must be 'p higher lower'", lineno
+                )
+            try:
+                current["pairs"].append((int(parts[0]), int(parts[1])))
+            except ValueError:
+                raise MeshFormatError(
+                    "pair indices are not integers", lineno
+                ) from None
+        else:
+            raise MeshFormatError(
+                f"unexpected line kind {kind!r} in "
+                f"{current['kind']} section",
+                lineno,
+            )
 
     missing = [n for n in _FILE_DOMAINS if n not in domains]
     if missing:
         raise MeshFormatError(f"missing domain section {missing[0]!r}")
+    missing = [s for s in SIDES if s not in interfaces]
+    if missing:
+        raise MeshFormatError(
+            f"missing interface section for matrix_damage side {missing[0]}"
+        )
 
     meshes = {}
-    for name in ("matrix", "fault"):
+    for name in _FILE_DOMAINS:
         sec = domains[name]
         if not sec["cells"]:
             raise MeshFormatError(f"domain {name!r} has no cells")
@@ -775,56 +779,13 @@ def import_mesh(path) -> MixedDimGeometry:
             raise MeshFormatError(
                 f"domain {name!r}: {exc}", sec["line"]
             ) from exc
-    surface = domains["fault"]
-    for side in SIDES:
-        sec = domains[f"damage_{side}"]
-        if len(sec["verts"]) != len(surface["verts"]):
-            differs = "vertex count"
-        elif sec["cells"] != surface["cells"]:
-            differs = "cells"
-        elif np.abs(np.subtract(sec["verts"], surface["verts"])).max() > 1e-9:
-            differs = "vertex coordinates"
-        else:
-            continue
-        raise TopologyError(
-            f"damage layer {side} does not repeat the fault mesh: its "
-            f"{differs} differ"
-        )
-
-    found: dict[tuple[str, str], np.ndarray] = {}
-    for sec in interfaces:
-        key = _INTERFACE_KEYS.get((sec["from"], sec["to"]))
-        if key is None:
-            raise MeshFormatError(
-                f"interface from {sec['from']!r} to {sec['to']!r} does not "
-                "connect known domains",
-                sec["line"],
-            )
-        attr, side = key
-        if side != sec["side"]:
-            raise MeshFormatError(
-                f"interface {sec['from']}->{sec['to']} must have "
-                f"side={side}",
-                sec["line"],
-            )
-        found[key] = np.array(sec["pairs"], dtype=np.int64).reshape(-1, 2)
-
-    for key in _INTERFACE_KEYS.values():
-        if key not in found:
-            raise MeshFormatError(
-                f"missing interface section for {key[0]} side {key[1]}"
-            )
 
     matrix, fault = meshes["matrix"], meshes["fault"]
-    n = fault.n_cells
+    matrix_damage = {}
     for side in SIDES:
-        pairs = found[("damage_fault", side)]
-        if pairs.shape != (n, 2) or np.any(pairs != np.arange(n)[:, None]):
-            raise TopologyError(
-                f"damage/fault map {side}: damage cell i must pair with "
-                "fault cell i"
-            )
-        faces = found[("matrix_damage", side)][:, 0]
+        pairs = np.array(interfaces[side]["pairs"], dtype=np.int64)
+        matrix_damage[side] = InterfaceMap(pairs, side)
+        faces = matrix_damage[side].pairs[:, 0]
         if len(faces) and (faces.min() < 0 or faces.max() >= matrix.n_faces):
             raise TopologyError(
                 f"matrix/damage map {side}: face index out of range"
@@ -835,13 +796,7 @@ def import_mesh(path) -> MixedDimGeometry:
     for mesh in (matrix, fault):
         for f in mesh.boundary_faces():
             mesh.boundary_tags.setdefault(int(f), "boundary")
-    geom = MixedDimGeometry(
-        matrix=matrix,
-        fault=fault,
-        matrix_damage={
-            s: InterfaceMap(found[("matrix_damage", s)], s) for s in SIDES
-        },
-    )
+    geom = MixedDimGeometry(matrix, fault, matrix_damage)
     geom.validate()
     return geom
 
@@ -888,13 +843,19 @@ def _parse_section_header(line: str, lineno: int) -> dict:
                 "to=<domain> side=<left|right>]'",
                 lineno,
             )
+        if (attrs["from"], attrs["to"]) != ("matrix", "fault"):
+            raise MeshFormatError(
+                f"interface from {attrs['from']!r} to {attrs['to']!r}: "
+                "only matrix to fault is known",
+                lineno,
+            )
+        if attrs["side"] not in SIDES:
+            raise MeshFormatError(
+                f"unknown interface side {attrs['side']!r}", lineno
+            )
         return {
             "kind": "interface",
-            "name": parts[1],
-            "from": attrs["from"],
-            "to": attrs["to"],
             "side": attrs["side"],
             "pairs": [],
-            "line": lineno,
         }
     raise MeshFormatError(f"unknown section kind {kind!r}", lineno)

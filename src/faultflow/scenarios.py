@@ -382,7 +382,7 @@ def load_config(path) -> RunConfig:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
     return parse_config(text, name=path.stem, base_dir=path.parent)
 

@@ -9,6 +9,8 @@ scheme reproduces exactly on the aligned two-block grids.
 ``rt0_local_mass`` and ``rt0_interpolate`` are the per-cell and per-face
 oracles the element-kernel tests compare the vectorized kernels against;
 ``locate_cells_oracle`` is the cell-by-cell oracle of point location.
+``check_vtk_file`` re-reads a VTK file and verifies its structure, which
+keeps the writer honest without a third-party reader.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ from faultflow.fem import _bary_weights
 from faultflow.mesh import (
     SIDES,
     MeshError,
+    MeshFormatError,
     SimplicialMesh,
     build_two_block_geometry,
 )
@@ -224,3 +227,132 @@ def locate_cells_oracle(mesh: SimplicialMesh, points) -> np.ndarray:
         inside = np.flatnonzero(np.all(bary >= -1e-12, axis=1))
         best.append(inside[0] if inside.size else -1)
     return np.array(best, dtype=np.int64)
+
+
+class _Scanner:
+    def __init__(self, path):
+        with open(path) as fh:
+            self.lines = fh.read().splitlines()
+        self.pos = 0
+
+    def next_line(self, what: str) -> str:
+        while self.pos < len(self.lines):
+            line = self.lines[self.pos]
+            self.pos += 1
+            if line.strip():
+                return line
+        raise MeshFormatError(f"file ended while looking for {what}")
+
+    def error(self, message: str):
+        raise MeshFormatError(f"line {self.pos}: {message}")
+
+    def floats(self, count: int, what: str):
+        line = self.next_line(what)
+        parts = line.split()
+        if len(parts) != count:
+            self.error(f"{what}: expected {count} numbers, got {len(parts)}")
+        try:
+            return [float(p) for p in parts]
+        except ValueError:
+            self.error(f"{what}: not numeric: {line!r}")
+
+
+def check_vtk_file(path) -> dict:
+    """Structural validation of a legacy VTK file written here.  Returns a
+    summary: point and cell counts, the cell type, and the data fields."""
+    s = _Scanner(path)
+    if not s.next_line("header").startswith("# vtk DataFile"):
+        s.error("missing VTK header")
+    s.next_line("title")
+    if s.next_line("format") != "ASCII":
+        s.error("only ASCII files are produced here")
+    if s.next_line("dataset") != "DATASET UNSTRUCTURED_GRID":
+        s.error("expected DATASET UNSTRUCTURED_GRID")
+
+    parts = s.next_line("POINTS").split()
+    if len(parts) != 3 or parts[0] != "POINTS":
+        s.error("malformed POINTS line")
+    n_points = int(parts[1])
+    for _ in range(n_points):
+        s.floats(3, "point")
+
+    parts = s.next_line("CELLS").split()
+    if len(parts) != 3 or parts[0] != "CELLS":
+        s.error("malformed CELLS line")
+    n_cells, n_ints = int(parts[1]), int(parts[2])
+    total = 0
+    n_per = None
+    for _ in range(n_cells):
+        row = s.next_line("cell").split()
+        try:
+            ints = [int(p) for p in row]
+        except ValueError:
+            s.error(f"cell row is not integers: {row!r}")
+        if ints[0] != len(ints) - 1:
+            s.error("cell row length does not match its count")
+        if n_per is None:
+            n_per = ints[0]
+        elif ints[0] != n_per:
+            s.error("mixed cell sizes")
+        if any(i < 0 or i >= n_points for i in ints[1:]):
+            s.error("cell references a vertex out of range")
+        total += len(ints)
+    if total != n_ints:
+        raise MeshFormatError(
+            f"CELLS advertised {n_ints} integers but holds {total}"
+        )
+
+    parts = s.next_line("CELL_TYPES").split()
+    if len(parts) != 2 or parts[0] != "CELL_TYPES":
+        s.error("malformed CELL_TYPES line")
+    if int(parts[1]) != n_cells:
+        s.error("CELL_TYPES count differs from CELLS")
+    expected_type = {2: 3, 3: 5, 4: 10}.get(n_per)
+    cell_type = None
+    for _ in range(n_cells):
+        t = int(s.next_line("cell type"))
+        if t != expected_type:
+            s.error(
+                f"cell type {t} does not match {n_per}-vertex cells"
+            )
+        cell_type = t
+
+    fields = {}
+    if s.pos < len(s.lines) and any(
+        line.strip() for line in s.lines[s.pos :]
+    ):
+        parts = s.next_line("CELL_DATA").split()
+        if len(parts) != 2 or parts[0] != "CELL_DATA":
+            s.error("expected CELL_DATA")
+        if int(parts[1]) != n_cells:
+            s.error("CELL_DATA count differs from CELLS")
+        while s.pos < len(s.lines):
+            remaining = [
+                line for line in s.lines[s.pos :] if line.strip()
+            ]
+            if not remaining:
+                break
+            header = s.next_line("field header").split()
+            if header[0] == "SCALARS":
+                if len(header) != 4 or header[3] != "1":
+                    s.error("malformed SCALARS header")
+                if s.next_line("lookup") != "LOOKUP_TABLE default":
+                    s.error("missing LOOKUP_TABLE")
+                for _ in range(n_cells):
+                    s.floats(1, f"scalar {header[1]}")
+                fields[header[1]] = "scalars"
+            elif header[0] == "VECTORS":
+                if len(header) != 3:
+                    s.error("malformed VECTORS header")
+                for _ in range(n_cells):
+                    s.floats(3, f"vector {header[1]}")
+                fields[header[1]] = "vectors"
+            else:
+                s.error(f"unknown field section {header[0]!r}")
+
+    return {
+        "n_points": n_points,
+        "n_cells": n_cells,
+        "cell_type": cell_type,
+        "fields": fields,
+    }

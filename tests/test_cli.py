@@ -117,6 +117,29 @@ def test_check_mesh_rejects_garbage(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv,code",
+    [
+        (["check-mesh", "{tmp}/nope.msh"], 2),
+        (["check-mesh", "{tmp}"], 2),
+        (["check-mesh", "{tmp}/latin1.msh"], 2),
+        (["run", "{tmp}/latin1.cfg"], 1),
+        (["run", "{tmp}/lost_mesh.cfg"], 2),
+    ],
+)
+def test_unreadable_input_is_a_one_line_error(tmp_path, capsys, argv, code):
+    (tmp_path / "latin1.msh").write_bytes(b"[domain matrix dim=2]\n# \xe9\n")
+    (tmp_path / "latin1.cfg").write_bytes(b"geometry two_block # \xe9\n")
+    (tmp_path / "lost_mesh.cfg").write_text(
+        MINI.replace("geometry two_block", "geometry mesh nope.msh")
+    )
+    argv = [arg.format(tmp=tmp_path) for arg in argv]
+    assert main(argv) == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "cannot read" in err
+
+
 def test_sweep_writes_table(mini_config, tmp_path, capsys):
     csv_path = tmp_path / "table.csv"
     code = main(

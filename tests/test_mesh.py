@@ -239,30 +239,61 @@ def test_import_reports_parse_errors_with_line(tmp_path):
             import_mesh(path)
 
 
-def test_import_requires_damage_sections_to_repeat_the_fault(tmp_path):
+def _exported_lines(tmp_path):
     path = tmp_path / "geom.msh"
     export_mesh(build_two_block_geometry(2, 2), path)
-    lines = path.read_text().splitlines()
+    return path, path.read_text().splitlines()
 
-    # one vertex of the right damage layer moved off the fault
-    damage_right = lines.index("[domain damage_right dim=1]")
-    x, y, z = lines[damage_right + 1].split()[1:]
-    edited = list(lines)
-    edited[damage_right + 1] = f"v {x} {float(y) + 1e-3!r} {z}"
-    path.write_text("\n".join(edited) + "\n")
-    with pytest.raises(TopologyError, match="damage layer right"):
+
+def _section(lines, header):
+    """The lines of the section whose header starts with ``header``,
+    header included."""
+    start = next(i for i, line in enumerate(lines) if line.startswith(header))
+    end = next(
+        (i for i in range(start + 1, len(lines)) if lines[i].startswith("[")),
+        len(lines),
+    )
+    return lines[start:end]
+
+
+def test_import_refuses_legacy_damage_sections(tmp_path):
+    # the former format repeated the fault section for each damage layer
+    path, lines = _exported_lines(tmp_path)
+    fault = _section(lines, "[domain fault")
+    at = lines.index(fault[0]) + len(fault)
+    damage = ["[domain damage_left dim=1]", *fault[1:]]
+    path.write_text("\n".join(lines[:at] + damage + lines[at:]) + "\n")
+    with pytest.raises(
+        MeshFormatError, match=f"line {at + 1}: unknown domain 'damage_left'"
+    ):
         import_mesh(path)
 
-    # two pairs of the left damage/fault map swapped
-    damage_fault = next(
-        i for i, line in enumerate(lines)
-        if line.startswith("[interface damage_fault_left")
-    )
-    assert lines[damage_fault + 1 : damage_fault + 3] == ["p 0 0", "p 1 1"]
-    edited = list(lines)
-    edited[damage_fault + 1 : damage_fault + 3] = ["p 0 1", "p 1 0"]
-    path.write_text("\n".join(edited) + "\n")
-    with pytest.raises(TopologyError, match="damage/fault map left"):
+
+def test_import_refuses_duplicate_interface_section(tmp_path):
+    path, lines = _exported_lines(tmp_path)
+    left = _section(lines, "[interface matrix_damage_left")
+    path.write_text("\n".join(lines + left) + "\n")
+    with pytest.raises(
+        MeshFormatError,
+        match=f"line {len(lines) + 1}: duplicate interface 'left'",
+    ):
+        import_mesh(path)
+
+
+def test_import_refuses_sides_sharing_matrix_faces(tmp_path):
+    # a left map that lists the right block's plane faces passes every
+    # per-side check: the faces lie on the plane against the same cells
+    path, lines = _exported_lines(tmp_path)
+    left = _section(lines, "[interface matrix_damage_left")
+    right = _section(lines, "[interface matrix_damage_right")
+    at = lines.index(left[0])
+    lines[at + 1 : at + len(left)] = right[1:]
+    path.write_text("\n".join(lines) + "\n")
+    shared = min(int(line.split()[1]) for line in right[1:])
+    with pytest.raises(
+        TopologyError,
+        match=f"matrix face {shared} is paired with both damage layers",
+    ):
         import_mesh(path)
 
 
@@ -320,22 +351,14 @@ def test_import_refuses_or_returns_finite_geometry(
 
 
 def test_import_reports_missing_pair(tmp_path):
-    geom = build_two_block_geometry(2, 2)
-    path = tmp_path / "geom.msh"
-    export_mesh(geom, path)
-    lines = path.read_text().splitlines()
-    # drop the last pair line of the damage_fault left section
-    idx = max(
-        i
-        for i, line in enumerate(lines)
-        if line.startswith("p")
-        and lines[
-            max(j for j in range(i) if lines[j].startswith("["))
-        ].startswith("[interface damage_fault_left")
-    )
-    del lines[idx]
+    path, lines = _exported_lines(tmp_path)
+    # drop the last pair line of the matrix_damage left section
+    left = _section(lines, "[interface matrix_damage_left")
+    del lines[lines.index(left[0]) + len(left) - 1]
     path.write_text("\n".join(lines) + "\n")
-    with pytest.raises(TopologyError, match="fault cell"):
+    with pytest.raises(
+        TopologyError, match="map left has 1 pairs for 2 surface cells"
+    ):
         import_mesh(path)
 
 

@@ -17,7 +17,8 @@ from faultflow.scenarios import (
     run_scenario,
     sweep,
 )
-from faultflow.vtk_io import check_vtk_file
+
+from helpers import check_vtk_file
 
 BASE = """
 geometry two_block

@@ -8,7 +8,9 @@ from faultflow.mesh import (
     SimplicialMesh,
     build_two_block_geometry,
 )
-from faultflow.vtk_io import check_vtk_file, write_vtk
+from faultflow.vtk_io import write_vtk
+
+from helpers import check_vtk_file
 
 
 def test_triangle_mesh_with_fields(tmp_path):

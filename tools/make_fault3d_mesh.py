@@ -9,7 +9,7 @@ minimum-vertex diagonal rule, so every quadrilateral is triangulated
 through its smallest global vertex and neighbouring prisms always agree;
 the same rule fixes the plane triangulation, which both blocks and the
 one surface mesh of the fault therefore share exactly.  The mesh file
-repeats that surface mesh for each damage layer.
+holds the matrix, that surface mesh and one matrix/damage map per side.
 
 The upper block pairs with the "left" damage layer, the lower block with
 the "right" one.  Vertical resolution is finer towards the top of the
@@ -166,7 +166,21 @@ def main(argv=None) -> int:
     geometry = build_geometry(args.nx, args.ny)
     export_mesh(geometry, args.out)
     reread = import_mesh(args.out)
-    assert reread.matrix.n_cells == geometry.matrix.n_cells
+    kept = (
+        reread.matrix.n_cells == geometry.matrix.n_cells
+        and reread.fault.n_cells == geometry.fault.n_cells
+        and all(
+            np.array_equal(
+                reread.matrix_damage[s].pairs, geometry.matrix_damage[s].pairs
+            )
+            for s in SIDES
+        )
+    )
+    if not kept:
+        raise RuntimeError(
+            f"{args.out} does not re-read with the cell counts and "
+            "matrix/damage pairs written"
+        )
     print(
         f"wrote {args.out}: {geometry.matrix.n_cells} tetrahedra, "
         f"{geometry.fault.n_cells} fault triangles"
