@@ -23,11 +23,10 @@ exchange inflow from both sides.  Essential (flux) boundary data is imposed
 by symmetric elimination: unit diagonal rows with right-hand-side fixups,
 so symmetry survives.
 
-The global unknown vector is [u; p], its fields in the order in which F
-and C are assembled (see ``FIELDS`` and ``BlockSystem.offsets``):
-
-    matrix_flux | damage_flux | fault_flux | exchange_flux |
-    matrix_pressure | damage_pressure | fault_pressure
+The global unknown vector is [u; p], in the order in which F and C are
+assembled.  ``BlockSystem.offsets`` is its one layout table, built from
+``MixedDimGeometry.domains``: ``<domain>_flux`` per domain, then
+``exchange_<side>_flux`` per side, then ``<domain>_pressure`` per domain.
 """
 
 from __future__ import annotations
@@ -247,17 +246,6 @@ class SourceField:
         )
 
 
-FIELDS = (
-    "matrix_flux",
-    "damage_flux",
-    "fault_flux",
-    "exchange_flux",
-    "matrix_pressure",
-    "damage_pressure",
-    "fault_pressure",
-)
-
-
 @dataclass
 class BlockSystem:
     """The assembled coupled system.
@@ -266,11 +254,12 @@ class BlockSystem:
     ``g`` (flux) and ``f`` (pressure) are the blocks of [[F, C], [C', 0]],
     after essential elimination.  ``matrix`` and ``rhs`` are that full
     symmetric operator and its right-hand side [g; f], acting on the
-    global vector [u; p]; ``offsets`` maps the fields of that vector to
-    slices.  ``eliminated`` maps eliminated flux dofs (positions in u, and
-    so in the global vector) to their imposed values; ``anchors`` lists
-    the pressure unknowns (indices into p) of the cells owning a boundary
-    pressure face.
+    global vector [u; p]; ``offsets`` maps its blocks (``<domain>_flux``,
+    ``exchange_<side>_flux``, ``<domain>_pressure``) to slices.
+    ``eliminated`` maps eliminated flux dofs (positions in u, and so in the
+    global vector) to their imposed values; ``anchors`` lists the pressure
+    unknowns (indices into p) of the cells owning a boundary pressure
+    face.  ``source_integrals`` holds each cell's injected volume, by domain.
     """
 
     geometry: MixedDimGeometry
@@ -302,15 +291,6 @@ class BlockSystem:
     def rhs(self) -> np.ndarray:
         return np.concatenate([self.g, self.f])
 
-    def split(self, x: np.ndarray) -> dict[str, np.ndarray]:
-        return {name: x[self.offsets[name]] for name in FIELDS}
-
-    @staticmethod
-    def sided(values: np.ndarray) -> dict[str, np.ndarray]:
-        """Split a damage (or exchange) field into its left and right
-        halves: both layers live on the fault mesh."""
-        return dict(zip(SIDES, np.split(values, 2)))
-
 
 def _saddle_matrix(F, C) -> sps.csr_array:
     """The symmetric operator [[F, C], [C', 0]]."""
@@ -332,6 +312,17 @@ def assemble(
     meshes = list(domains.values())
     fault = geometry.fault
     n_exchange = 2 * fault.n_cells
+
+    # -- the layout of the global vector [u; p] ---------------------------
+    blocks = [
+        *((f"{dom}_flux", m.n_faces) for dom, m in domains.items()),
+        *((f"exchange_{s}_flux", fault.n_cells) for s in SIDES),
+        *((f"{dom}_pressure", m.n_cells) for dom, m in domains.items()),
+    ]
+    ends = np.cumsum([n for _, n in blocks]).tolist()
+    offsets = {
+        name: slice(end - n, end) for (name, n), end in zip(blocks, ends)
+    }
 
     # -- F: flux mass blocks and the exchange resistance -----------------
     # The Robin resistance of the matrix/damage interface lands on the
@@ -364,12 +355,14 @@ def assemble(
         + [sps.csr_array((n_exchange, 0))],
         format="csr",
     )
-    n_cells = [m.n_cells for m in meshes]
-    cell_start = dict(zip(domains, np.cumsum([0, *n_cells])))
-    exchange_start = F.shape[0] - n_exchange
+    # C's columns and ``anchors`` index p, which follows the fluxes
+    first_cell = {
+        dom: offsets[f"{dom}_pressure"].start - F.shape[0] for dom in domains
+    }
     rows, cols, vals = [], [], []
-    for side, x0 in zip(SIDES, exchange_start + np.array([0, fault.n_cells])):
-        d0 = cell_start[f"damage_{side}"]
+    for side in SIDES:
+        x0 = offsets[f"exchange_{side}_flux"].start
+        d0 = first_cell[f"damage_{side}"]
         # matrix/damage: value 1 per (face, damage cell) pair
         faces, dcells = geometry.matrix_damage[side].pairs.T
         rows.append(faces)
@@ -379,7 +372,7 @@ def assemble(
         # into the fault, cell i of the layer against cell i of the fault
         cells = np.arange(fault.n_cells)
         rows += [cells + x0, cells + x0]
-        cols += [cells + d0, cells + cell_start["fault"]]
+        cols += [cells + d0, cells + first_cell["fault"]]
         vals += [-fault.cell_measures, fault.cell_measures]
     couplings = sps.coo_array(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
@@ -388,11 +381,11 @@ def assemble(
     C = sps.csr_array(divergence + couplings)
 
     # -- right-hand sides --------------------------------------------------
-    f_matrix_src, f_damage_src, f_fault_src = sources.cell_integrals(geometry)
+    q_matrix, q_damage, q_fault = sources.cell_integrals(geometry)
     source_integrals = {
-        "matrix": f_matrix_src,
-        "damage": np.concatenate([f_damage_src[s] for s in SIDES]),
-        "fault": f_fault_src,
+        "matrix": q_matrix,
+        **{f"damage_{s}": q_damage[s] for s in SIDES},
+        "fault": q_fault,
     }
     pressure = _by_domain(bc.pressure, geometry)
     g = np.concatenate(
@@ -401,7 +394,7 @@ def assemble(
     )
     # Pressure rows are the negated conservation statements (C carries
     # -div), so a source density q enters with a minus sign.
-    f = -np.concatenate(list(source_integrals.values()))
+    f = -np.concatenate([source_integrals[dom] for dom in domains])
 
     # -- essential elimination over all flux dofs -------------------------
     values = np.concatenate(
@@ -412,20 +405,6 @@ def assemble(
     )
     F, C, g, f = _eliminate_field(F, C, g, f, values)
 
-    # -- the field layout of the global vector [u; p] ---------------------
-    sizes = {
-        "matrix_flux": geometry.matrix.n_faces,
-        "damage_flux": 2 * fault.n_faces,
-        "fault_flux": fault.n_faces,
-        "exchange_flux": n_exchange,
-        "matrix_pressure": geometry.matrix.n_cells,
-        "damage_pressure": 2 * fault.n_cells,
-        "fault_pressure": fault.n_cells,
-    }
-    offsets, start = {}, 0
-    for name in FIELDS:
-        offsets[name] = slice(start, start + sizes[name])
-        start += sizes[name]
     fixed = ~np.isnan(values)
     return BlockSystem(
         geometry=geometry,
@@ -440,7 +419,7 @@ def assemble(
         ),
         anchors=np.array(
             [
-                cell_start[dom] + domains[dom].face_cells[face, 0]
+                first_cell[dom] + domains[dom].face_cells[face, 0]
                 for dom, face in bc.pressure
             ],
             dtype=np.int64,

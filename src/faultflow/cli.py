@@ -90,7 +90,7 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_check_mesh(args) -> int:
     geometry = import_mesh(args.mesh)
-    for name, mesh in geometry.domains.items():
+    for name, mesh in (("matrix", geometry.matrix), ("fault", geometry.fault)):
         print(
             f"{name}: dim {mesh.dim}, {mesh.n_cells} cells, "
             f"{mesh.n_faces} faces"

@@ -22,8 +22,8 @@ Two routes lead to the same solution:
   by the inverse of its lumped diagonal (C^2)' diag(F)^-1.
 
 Both routes first check the anchoring from the structure of C, and both
-recover all seven unknown fields; diagnostics below measure local
-conservation, the two interface laws, and the global budget.
+recover every block of ``BlockSystem.offsets``; diagnostics below measure
+local conservation, the two interface laws, and the global budget.
 """
 
 from __future__ import annotations
@@ -60,21 +60,20 @@ def _require_anchor(system: BlockSystem) -> None:
     """Refuse a system whose pressure is not pinned everywhere: every
     connected set of pressure unknowns (linked through a row of C) must
     contain the owner cell of a boundary pressure face, or its pressure
-    level is free and the system is singular.  Pressure unknowns follow
-    the domain order of ``MixedDimGeometry.domains``."""
+    level is free and the system is singular."""
     C = abs(system.C)
     _, labels = connected_components(C.T @ C, directed=False)
     loose = ~np.isin(labels, labels[system.anchors])
     if loose.any():
-        first = int(np.argmax(loose))
-        names = list(system.geometry.domains)
-        starts = np.cumsum(
-            [0] + [m.n_cells for m in system.geometry.domains.values()]
-        )
-        dom = int(np.searchsorted(starts, first, side="right")) - 1
+        # the first loose pressure unknown, as a position in [u; p]
+        first = C.shape[0] + int(np.argmax(loose))
+        for dom in system.geometry.domains:
+            block = system.offsets[f"{dom}_pressure"]
+            if first < block.stop:
+                break
         raise SolverError(
-            f"no boundary pressure reaches cell {first - starts[dom]} of "
-            f"{names[dom]} ({int(loose.sum())} of {len(labels)} pressure "
+            f"no boundary pressure reaches cell {first - block.start} of "
+            f"{dom} ({int(loose.sum())} of {len(labels)} pressure "
             "unknowns); their pressure level is undetermined and the system "
             "is singular"
         )
@@ -167,8 +166,8 @@ def _direct_solve(F, C, g, f, K) -> np.ndarray:
 
 @dataclass
 class MixedSolution:
-    """All seven unknown fields of one solve, plus the global vector
-    [u; p] they are slices of."""
+    """The unknowns of one solve by domain and side, views into the
+    global vector [u; p] through ``BlockSystem.offsets``."""
 
     matrix_flux: np.ndarray
     matrix_pressure: np.ndarray
@@ -181,15 +180,17 @@ class MixedSolution:
 
     @classmethod
     def from_vector(cls, system: BlockSystem, x: np.ndarray) -> "MixedSolution":
-        parts = system.split(x)
+        def block(name):
+            return x[system.offsets[name]]
+
         return cls(
-            matrix_flux=parts["matrix_flux"],
-            matrix_pressure=parts["matrix_pressure"],
-            damage_flux=system.sided(parts["damage_flux"]),
-            damage_pressure=system.sided(parts["damage_pressure"]),
-            fault_flux=parts["fault_flux"],
-            fault_pressure=parts["fault_pressure"],
-            exchange_flux=system.sided(parts["exchange_flux"]),
+            matrix_flux=block("matrix_flux"),
+            matrix_pressure=block("matrix_pressure"),
+            damage_flux={s: block(f"damage_{s}_flux") for s in SIDES},
+            damage_pressure={s: block(f"damage_{s}_pressure") for s in SIDES},
+            fault_flux=block("fault_flux"),
+            fault_pressure=block("fault_pressure"),
+            exchange_flux={s: block(f"exchange_{s}_flux") for s in SIDES},
             vector=x,
         )
 
@@ -311,18 +312,11 @@ def solve_schur(
 # ---------------------------------------------------------------------------
 
 
-def _domain_field(solution: MixedSolution, domain: str, kind: str):
-    """The ``kind`` ("flux" or "pressure") dofs of one domain, by the
-    domain names of ``MixedDimGeometry.domains``."""
-    base, _, side = domain.partition("_")
-    values = getattr(solution, f"{base}_{kind}")
-    return values[side] if side else values
-
-
 def cell_velocities(system: BlockSystem, solution: MixedSolution):
     """Darcy velocity at every cell centroid, one array per domain."""
+    x = solution.vector
     return {
-        name: rt0_eval_centroids(mesh, _domain_field(solution, name, "flux"))
+        name: rt0_eval_centroids(mesh, x[system.offsets[f"{name}_flux"]])
         for name, mesh in system.geometry.domains.items()
     }
 
@@ -338,15 +332,11 @@ def _row_scales(matrix: sps.csr_array, rows: slice) -> np.ndarray:
 
 def conservation_residuals(system: BlockSystem, solution: MixedSolution):
     """Residual of every conservation row, scaled by the row's largest
-    coefficient.  Keys: matrix, damage, fault."""
+    coefficient, by domain."""
     r = system.matrix @ solution.vector - system.rhs
     out = {}
-    for name, key in (
-        ("matrix", "matrix_pressure"),
-        ("damage", "damage_pressure"),
-        ("fault", "fault_pressure"),
-    ):
-        rows = system.offsets[key]
+    for name in system.geometry.domains:
+        rows = system.offsets[f"{name}_pressure"]
         out[name] = r[rows] / _row_scales(system.matrix, rows)
     return out
 
@@ -387,7 +377,7 @@ def global_balance(system: BlockSystem, solution: MixedSolution) -> float:
     # a boundary face's dof is its outward net flux
     outflow = 0.0
     for name in geometry.domains:
-        flux = _domain_field(solution, name, "flux")
+        flux = solution.vector[system.offsets[f"{name}_flux"]]
         outflow += float(np.sum(flux[geometry.external_faces(name)]))
 
     injected = sum(

@@ -376,7 +376,6 @@ class MixedDimGeometry:
                 f"matrix face {int(shared[0])} is paired with both damage "
                 "layers"
             )
-        self._check_internal_tags()
 
     def _check_matrix_damage(self, side: str) -> None:
         imap = self.matrix_damage[side]
@@ -429,26 +428,6 @@ class MixedDimGeometry:
                 f"{int(cells[np.argmax(dc)])} on side {side} are not "
                 "geometrically coincident"
             )
-
-    def _check_internal_tags(self) -> None:
-        internal = set()
-        for side in SIDES:
-            internal.update(self.matrix_damage[side].pairs[:, 0].tolist())
-        internal_tags = set()
-        for f in internal:
-            tag = self.matrix.boundary_tags.get(int(f))
-            if tag is None:
-                raise TopologyError(
-                    f"matrix face {int(f)} on the fault plane carries no "
-                    "internal-boundary tag"
-                )
-            internal_tags.add(tag)
-        for f, tag in self.matrix.boundary_tags.items():
-            if tag in internal_tags and f not in internal:
-                raise TopologyError(
-                    f"external matrix face {f} reuses internal-boundary tag "
-                    f"{tag!r}"
-                )
 
 
 # ---------------------------------------------------------------------- #
@@ -530,9 +509,6 @@ def build_two_block_geometry(n_x: int, n_y: int) -> MixedDimGeometry:
     in_left = matrix.faces[plane, 0] < n_left
     matrix_damage = {}
     for side, faces in zip(SIDES, (plane[in_left], plane[~in_left])):
-        matrix.boundary_tags.update(
-            dict.fromkeys(faces.tolist(), f"plane_{side}")
-        )
         faces = faces[np.argsort(fc[faces, 1])]
         pairs = np.column_stack([faces, np.arange(n_y)])
         matrix_damage[side] = InterfaceMap(pairs, side)
@@ -667,7 +643,8 @@ def import_mesh(path) -> MixedDimGeometry:
 
     The file must hold the matrix and fault domains and one matrix/damage
     interface per side, each once; any other domain, such as a damage
-    layer section, is refused.
+    layer section, is refused.  The faces that take boundary data
+    (``external_faces``) are tagged ``boundary``.
 
     Raises MeshFormatError (with line numbers) on unreadable or malformed
     input, non-finite coordinates included, and TopologyError (naming the
@@ -781,23 +758,13 @@ def import_mesh(path) -> MixedDimGeometry:
             ) from exc
 
     matrix, fault = meshes["matrix"], meshes["fault"]
-    matrix_damage = {}
-    for side in SIDES:
-        pairs = np.array(interfaces[side]["pairs"], dtype=np.int64)
-        matrix_damage[side] = InterfaceMap(pairs, side)
-        faces = matrix_damage[side].pairs[:, 0]
-        if len(faces) and (faces.min() < 0 or faces.max() >= matrix.n_faces):
-            raise TopologyError(
-                f"matrix/damage map {side}: face index out of range"
-            )
-        matrix.boundary_tags.update(
-            dict.fromkeys(faces.tolist(), f"plane_{side}")
-        )
-    for mesh in (matrix, fault):
-        for f in mesh.boundary_faces():
-            mesh.boundary_tags.setdefault(int(f), "boundary")
+    matrix_damage = {s: InterfaceMap(interfaces[s]["pairs"], s) for s in SIDES}
     geom = MixedDimGeometry(matrix, fault, matrix_damage)
     geom.validate()
+    for name, mesh in meshes.items():
+        mesh.boundary_tags.update(
+            dict.fromkeys(geom.external_faces(name).tolist(), "boundary")
+        )
     return geom
 
 

@@ -58,7 +58,6 @@ from .assembly import (
 from .equidim import solve_equidim
 from .linsolve import (
     MixedSolution,
-    _domain_field,
     cell_velocities,
     conservation_residuals,
     global_balance,
@@ -558,7 +557,8 @@ def _write_outputs(
     meshes = system.geometry.domains
     vels = cell_velocities(system, solution)
     pressures = {
-        name: _domain_field(solution, name, "pressure") for name in meshes
+        name: solution.vector[system.offsets[f"{name}_pressure"]]
+        for name in meshes
     }
     outputs = []
     for name, mesh in meshes.items():
@@ -729,8 +729,10 @@ def sweep(
     For each thickness and mode: solve the reduced problem at grid
     spacings ``h`` and ``h2``, solve the layered reference with strip
     resolution ``eps / 4``, and record the error bracket.  Every thickness
-    and spacing must be finite and positive, and 1/h and 1/h2 must lie
-    within 1e-9 of a whole number of cells (ConfigError otherwise).
+    and spacing must be finite and positive, the fault structure (two
+    damage layers and the core, 3 eps) narrower than the unit blocks, and
+    1/h and 1/h2 must lie within 1e-9 of a whole number of cells
+    (ConfigError otherwise).
     """
     if config.geometry_kind != "two_block":
         raise ConfigError("sweep needs a two_block scenario")
@@ -746,6 +748,12 @@ def sweep(
                 raise ConfigError(
                     f"sweep {name} must be finite and positive, got {value!r}"
                 )
+    for eps in map(float, eps_values):
+        if 2 * eps + eps >= 1.0:  # as ``build_layered_equidim_mesh`` tests
+            raise ConfigError(
+                f"sweep eps {eps!r} is too wide: the damage layers and the "
+                "fault core (3 eps) must be narrower than the unit blocks"
+            )
     grids = []
     for name, spacing in (("h", float(h)), ("h2", float(h2))):
         cells = 1.0 / spacing

@@ -75,15 +75,12 @@ def series_solution_vector(system, interface_resist, exchange_resist):
 
     # layers carry no tangential flow; their pressures are flat per side
     p_damage = {"left": -u * (1 + a), "right": -u * (1 + a + 2 * b)}
-    damage = system.sided(x[system.offsets["damage_pressure"]])  # views of x
     for side in SIDES:
-        damage[side][:] = p_damage[side]
+        x[system.offsets[f"damage_{side}_pressure"]] = p_damage[side]
     x[system.offsets["fault_pressure"]] = -u * (1 + a + b)
 
-    n_fault = geometry.fault.n_cells
-    x[system.offsets["exchange_flux"]] = np.concatenate(
-        [np.full(n_fault, u), np.full(n_fault, -u)]
-    )
+    x[system.offsets["exchange_left_flux"]] = u
+    x[system.offsets["exchange_right_flux"]] = -u
     return x
 
 

@@ -355,9 +355,8 @@ def test_random_two_block_systems_are_well_formed(data):
     assert np.array_equal(system.rhs, np.concatenate([system.g, system.f]))
 
     solution = solve_saddle(system)
-    conservation = conservation_residuals(system, solution)
-    for name in ("matrix", "damage", "fault"):
-        assert np.max(np.abs(conservation[name])) <= 1e-10
+    for residual in conservation_residuals(system, solution).values():
+        assert np.max(np.abs(residual)) <= 1e-10
     laws = interface_law_residuals(system, solution)
     for side in SIDES:
         assert np.max(np.abs(laws["matrix_damage"][side])) <= 1e-9
@@ -409,11 +408,9 @@ def test_constant_pressure_with_uniform_boundary_data():
             bc.pressure[(dom, int(f))] = hold
     system = assemble(geometry, coeff, bc)
     x = spla.spsolve(system.matrix.tocsc(), system.rhs)
-    parts = system.split(x)
-    for name in ("matrix_pressure", "damage_pressure", "fault_pressure"):
-        assert np.max(np.abs(parts[name] - hold)) <= 1e-12
-    for name in ("matrix_flux", "damage_flux", "fault_flux", "exchange_flux"):
-        assert np.max(np.abs(parts[name])) <= 1e-12
+    for name, block in system.offsets.items():
+        want = hold if name.endswith("_pressure") else 0.0
+        assert np.max(np.abs(x[block] - want)) <= 1e-12, name
 
 
 def test_fault_injection_raises_fault_pressure():
@@ -434,11 +431,11 @@ def test_fault_injection_raises_fault_pressure():
         geometry, coeff, bc, SourceField(fault=1.0)
     )
     x = spla.spsolve(system.matrix.tocsc(), system.rhs)
-    parts = system.split(x)
-    assert np.all(parts["fault_pressure"] > 0)
+    assert np.all(x[system.offsets["fault_pressure"]] > 0)
     # positive exchange means layer-to-fault, so injection drives both
     # sides negative: the fault feeds both damage layers
-    assert np.all(parts["exchange_flux"] < 0)
+    for side in SIDES:
+        assert np.all(x[system.offsets[f"exchange_{side}_flux"]] < 0)
 
 
 # ---------------------------------------------------------------------------
@@ -550,14 +547,26 @@ def test_field_layout_partitions_the_vector():
         stops.append(sl.stop)
     assert stops[-1] == system.n_dofs == system.matrix.shape[0]
 
-    x = np.arange(system.n_dofs, dtype=float)
-    parts = system.split(x)
-    assert np.array_equal(
-        np.concatenate([parts[name] for name in system.offsets]), x
-    )
-    flux = system.sided(parts["damage_flux"])
-    assert len(flux["left"]) == geometry.damage["left"].n_faces
-    assert len(flux["right"]) == geometry.damage["right"].n_faces
+    # the fluxes of every domain, the exchanges, then the pressures of
+    # every domain, the domains in the order of ``geometry.domains``
+    domains = geometry.domains
+    assert list(domains) == ["matrix", "damage_left", "damage_right", "fault"]
+    assert list(system.offsets) == [
+        *(f"{dom}_flux" for dom in domains),
+        *(f"exchange_{side}_flux" for side in SIDES),
+        *(f"{dom}_pressure" for dom in domains),
+    ]
+    assert system.offsets["matrix_pressure"].start == system.F.shape[0]
+
+    def size(name):
+        block = system.offsets[name]
+        return block.stop - block.start
+
+    for dom, mesh in domains.items():
+        assert size(f"{dom}_flux") == mesh.n_faces
+        assert size(f"{dom}_pressure") == mesh.n_cells
+    for side in SIDES:
+        assert size(f"exchange_{side}_flux") == geometry.fault.n_cells
 
 
 def test_eliminated_dofs_record_imposed_values():

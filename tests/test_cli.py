@@ -108,6 +108,8 @@ def test_check_mesh_roundtrip(tmp_path, capsys):
     assert "mesh ok" in out
     assert "matrix: dim 2, 48 cells" in out
     assert "fault: dim 1, 4 cells" in out
+    # the file holds the matrix and the fault, not the damage layers
+    assert "damage_" not in out
 
 
 def test_check_mesh_rejects_garbage(tmp_path, capsys):
@@ -186,6 +188,10 @@ def test_sweep_rejects_bad_eps(mini_config, capsys):
         assert main(["sweep", str(mini_config), *extra]) == 1, extra
         err = capsys.readouterr().err
         assert f"sweep {name} must be finite and positive" in err, extra
+    # a fault structure as wide as the blocks is a usage error, not a mesh
+    # failure
+    assert main(["sweep", str(mini_config), "--eps", "1e-2,0.4"]) == 1
+    assert "sweep eps 0.4 is too wide" in capsys.readouterr().err
 
 
 def test_usage_error_exits_1():

@@ -207,6 +207,10 @@ def test_mesh_roundtrip(tmp_path):
     assert back.matrix.n_cells == geom.matrix.n_cells
     assert back.fault.n_cells == geom.fault.n_cells
     assert np.abs(back.matrix.vertices - geom.matrix.vertices).max() < 1e-12
+    # the file has no tags: the faces that take boundary data are tagged
+    assert sorted(back.matrix.boundary_tags) == (
+        back.external_faces("matrix").tolist()
+    )
     for side in ("left", "right"):
         assert np.array_equal(
             back.matrix_damage[side].pairs, geom.matrix_damage[side].pairs

@@ -1,16 +1,28 @@
-"""The snapshot comparison tool: round-off passes, anything else fails."""
+"""The snapshot comparison tool: round-off passes, anything else fails.
+The benchmark's traced replay reproduces the public call."""
 
 import importlib.util
+import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-spec = importlib.util.spec_from_file_location(
-    "compare_snapshots",
-    Path(__file__).resolve().parents[1] / "tools" / "compare_snapshots.py",
-)
-compare_snapshots = importlib.util.module_from_spec(spec)
-spec.loader.exec_module(compare_snapshots)
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def load(path: Path):
+    """Import a script that is not part of the package, by file path.  It
+    is registered, as its dataclasses need, under its folder and name."""
+    name = f"{path.parent.name}_{path.stem}"
+    spec = importlib.util.spec_from_file_location(name, path)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    spec.loader.exec_module(module)
+    return module
+
+
+compare_snapshots = load(ROOT / "tools" / "compare_snapshots.py")
 
 VTK = """# vtk DataFile Version 2.0
 case fault
@@ -73,3 +85,29 @@ def test_compare_snapshots_names_a_missing_file(tmp_path, capsys):
     (after / "case" / "fault.vtk").unlink()
     assert compare_snapshots.main([str(before), str(after)]) == 1
     assert "case/fault.vtk: missing from AFTER" in capsys.readouterr().err
+
+
+def test_benchmark_replay_reproduces_the_public_call(tmp_path):
+    # perfbench/ops.py repeats the pipeline of ``run_scenario`` call by
+    # call; the benchmark rejects a run whose replay drifts from it
+    ops = load(ROOT / "perfbench" / "ops.py")
+    spans = load(ROOT / "perfbench" / "spans.py")
+    op = ops.WORKLOADS["run2d"][0]
+    state = ops.setup("run2d")
+    public_dir, replay_dir = tmp_path / "public", tmp_path / "replay"
+    public = ops.run_op(op, state, public_dir)
+    replay = ops.replay_op(op, state, replay_dir, spans.Tracer(), 0)
+
+    pressures = list(zip(ops.pressures(public), ops.pressures(replay)))
+    assert len(pressures) == 4
+    for a, b in pressures:
+        assert np.array_equal(a, b)
+    names = sorted(path.name for path in public_dir.iterdir())
+    assert "summary.csv" in names
+    assert names == sorted(path.name for path in replay_dir.iterdir())
+    for name in names:
+        assert (public_dir / name).read_bytes() == (
+            replay_dir / name
+        ).read_bytes(), name
+    for outcome in (public, replay):
+        assert ops.check(op, ops.observe(op, outcome), state.expected) == []

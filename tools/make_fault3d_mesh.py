@@ -135,13 +135,6 @@ def build_geometry(nx: int, ny: int) -> MixedDimGeometry:
             pairs.append((face_of[key], cell))
         matrix_damage[side] = InterfaceMap(pairs, side)
 
-    for side in SIDES:
-        for f in matrix_damage[side].pairs[:, 0]:
-            matrix.boundary_tags[int(f)] = f"plane_{side}"
-    for f in matrix.boundary_faces():
-        if int(f) not in matrix.boundary_tags:
-            matrix.boundary_tags[int(f)] = "boundary"
-
     geometry = MixedDimGeometry(matrix, fault, matrix_damage)
     geometry.validate()
     return geometry
