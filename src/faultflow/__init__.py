@@ -12,7 +12,6 @@ from .assembly import (
     BlockSystem,
     BoundaryConditions,
     CoefficientSet,
-    SourceField,
     assemble,
     coefficients_from_mode,
 )
@@ -80,7 +79,6 @@ __all__ = [
     "RunResult",
     "SimplicialMesh",
     "SolverError",
-    "SourceField",
     "TopologyError",
     "assemble",
     "build_layered_equidim_mesh",

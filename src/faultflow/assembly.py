@@ -27,6 +27,8 @@ The global unknown vector is [u; p], in the order in which F and C are
 assembled.  ``BlockSystem.offsets`` is its one layout table, built from
 ``MixedDimGeometry.domains``: ``<domain>_flux`` per domain, then
 ``exchange_<side>_flux`` per side, then ``<domain>_pressure`` per domain.
+The resistances of ``CoefficientSet.resist`` and the sources of
+``assemble`` are keyed by the same domain names.
 """
 
 from __future__ import annotations
@@ -36,47 +38,33 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sps
 
-from .fem import rt0_div_matrix, rt0_mass_matrix
+from .fem import _per_cell, rt0_div_matrix, rt0_mass_matrix
 from .mesh import SIDES, MeshError, MixedDimGeometry, SimplicialMesh
 
 __all__ = [
     "CoefficientSet",
     "BoundaryConditions",
-    "SourceField",
     "BlockSystem",
     "coefficients_from_mode",
     "assemble",
 ]
 
 
-def _per_cell(values, n: int, what: str) -> np.ndarray:
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim == 0:
-        arr = np.full(n, float(arr))
-    if arr.shape == (n,):
-        if np.any(arr <= 0):
-            raise MeshError(f"non-positive {what} coefficient")
-        return arr
-    if arr.shape == (n, 3, 3):
-        return arr
-    raise MeshError(f"{what} coefficient has shape {arr.shape}, expected ({n},)")
+def _by_key(values, keys) -> dict:
+    """``values`` if it is a mapping, else one value for each of ``keys``."""
+    return values if isinstance(values, dict) else dict.fromkeys(keys, values)
 
 
 @dataclass
 class CoefficientSet:
-    """Inverse-permeability data of one coupled problem.
+    """Resistances of one coupled problem.  ``resist`` maps each domain
+    of ``geometry.domains`` to the weight of its tangential Darcy law, one
+    value or one 3x3 tensor per cell; ``matrix_damage_resist[side]`` is the
+    Robin resistance of the matrix/damage interface, one value per pair,
+    and ``damage_fault_resist[side]`` the exchange resistance, one value
+    per fault cell."""
 
-    ``matrix_resist``, ``damage_resist`` and ``fault_resist`` weight the
-    tangential Darcy law of their domain (per cell; the matrix one may be a
-    per-cell 3x3 tensor).  ``matrix_damage_resist`` is the Robin resistance
-    of the matrix/damage interface, one value per interface pair, and
-    ``damage_fault_resist`` the resistance governing the exchange flux, one
-    value per (side, fault cell).
-    """
-
-    matrix_resist: np.ndarray
-    damage_resist: dict[str, np.ndarray]
-    fault_resist: np.ndarray
+    resist: dict[str, np.ndarray]
     matrix_damage_resist: dict[str, np.ndarray]
     damage_fault_resist: dict[str, np.ndarray]
 
@@ -84,100 +72,106 @@ class CoefficientSet:
     def for_geometry(
         cls,
         geometry: MixedDimGeometry,
-        matrix_resist,
-        damage_resist,
-        fault_resist,
+        resist,
         matrix_damage_resist,
         damage_fault_resist,
     ) -> "CoefficientSet":
-        """Broadcast scalars or per-cell arrays onto the geometry.  Every
-        sided field has one value per fault cell (a matrix/damage map pairs
-        each fault cell once)."""
+        """Broadcast onto the geometry: ``resist`` keyed like
+        ``geometry.domains``, the interface resistances by side (one value
+        per fault cell), a single value standing for every key."""
         n = geometry.fault.n_cells
 
         def sided(values, what):
-            if not isinstance(values, dict):
-                values = {s: values for s in SIDES}
+            values = _by_key(values, SIDES)
             return {s: _per_cell(values[s], n, what) for s in SIDES}
 
+        resist = _by_key(resist, geometry.domains)
         return cls(
-            matrix_resist=_per_cell(
-                matrix_resist, geometry.matrix.n_cells, "matrix"
-            ),
-            damage_resist=sided(damage_resist, "damage"),
-            fault_resist=_per_cell(fault_resist, n, "fault"),
+            resist={
+                dom: _per_cell(
+                    resist[dom], m.n_cells, f"{dom} resistance", tensors=True
+                )
+                for dom, m in geometry.domains.items()
+            },
             matrix_damage_resist=sided(
-                matrix_damage_resist, "matrix/damage interface"
+                matrix_damage_resist, "matrix/damage resistance"
             ),
             damage_fault_resist=sided(
-                damage_fault_resist, "damage/fault interface"
+                damage_fault_resist, "damage/fault resistance"
             ),
         )
 
 
+class _UnusableResistance(MeshError):
+    """A conductivity the mode rule cannot use, at ``cell`` of ``domain``."""
+
+    def __init__(self, domain: str, cell: int, k: float, mode: str):
+        super().__init__(
+            f"conductivity {k!r} gives {domain} cell {cell} a resistance "
+            f"out of floating-point range in {mode} mode"
+        )
+        self.domain, self.cell = domain, cell
+
+
+def _resistances(k: np.ndarray, thickness: float, mode: str, domain: str):
+    """The mode rule: resistances (along, across) of a layer of thickness
+    t whose cells have conductivity ``k``.  In ``literal`` mode k scales
+    like an inverse permeability: k t along the layer, k / t across it.
+    In ``permeability`` mode k is a permeability: 1 / (k t) along, t / k
+    across.  t is 1 for the matrix, eps_mu for a damage layer, eps_gamma
+    for the fault.  The equi-dimensional reference meshes its strips at
+    their physical width and applies the along rule at t = 1, so in
+    literal mode a strip cell's resistance is k itself, isotropic (whether
+    that is meant is open; see ROADMAP.md).  Every resistance must be
+    finite and positive with a finite reciprocal, as the solvers divide by
+    them; the first cell that breaks this raises ``_UnusableResistance``.
+    """
+    with np.errstate(all="ignore"):
+        if mode == "literal":
+            along, across = k * thickness, k / thickness
+        elif mode == "permeability":
+            along, across = 1.0 / (k * thickness), thickness / k
+        else:
+            raise MeshError(f"unknown coefficient mode {mode!r}")
+        bad = np.zeros(len(k), dtype=bool)
+        for r in (along, across):
+            bad |= ~(np.isfinite(r) & (r > 0) & np.isfinite(1.0 / r))
+    if bad.any():
+        cell = int(np.argmax(bad))
+        raise _UnusableResistance(domain, cell, float(k[cell]), mode)
+    return along, across
+
+
 def coefficients_from_mode(
     geometry: MixedDimGeometry,
-    k: dict,
+    k,
     mode: str,
     eps_mu: float,
     eps_gamma: float,
 ) -> CoefficientSet:
-    """Build the coefficient set from raw per-region tables ``k``.
-
-    ``k`` maps region names (``matrix``, ``damage`` as a dict per side or a
-    common value, ``fault``) to scalars or per-cell arrays.  Two published
-    interpretations of the same tables exist and disagree; ``mode``
-    selects one:
-
-    - ``literal``: k scales like an inverse permeability.  Tangential layer
-      resistance k * thickness, interface resistance k / thickness; the
-      matrix value is used as-is.
-    - ``permeability``: k is a permeability.  Tangential layer resistance
-      1 / (k * thickness), interface resistance thickness / k; the matrix
-      resistance is 1 / k.
-    """
-    if mode not in ("literal", "permeability"):
-        raise MeshError(f"unknown coefficient mode {mode!r}")
-    if eps_mu <= 0 or eps_gamma <= 0:
+    """The coefficient set of conductivities ``k`` keyed like
+    ``geometry.domains`` (a scalar or one value per cell each), through
+    the mode rule ``_resistances``: across a damage layer is its Robin
+    resistance to the matrix, across the fault the exchange resistance."""
+    if not (eps_mu > 0 and eps_gamma > 0):
         raise MeshError("layer thicknesses must be positive")
-
-    k_matrix = _per_cell(k["matrix"], geometry.matrix.n_cells, "matrix")
-    k_damage = k["damage"]
-    if not isinstance(k_damage, dict):
-        k_damage = {s: k_damage for s in SIDES}
-    k_damage = {
-        s: _per_cell(k_damage[s], geometry.fault.n_cells, "damage")
-        for s in SIDES
-    }
-    k_fault = _per_cell(k["fault"], geometry.fault.n_cells, "fault")
-
-    if mode == "literal":
-        matrix_resist = k_matrix
-        damage_resist = {s: k_damage[s] * eps_mu for s in SIDES}
-        interface = {s: k_damage[s] / eps_mu for s in SIDES}
-        fault_resist = k_fault * eps_gamma
-        exchange = k_fault / eps_gamma
-    else:
-        matrix_resist = 1.0 / k_matrix
-        damage_resist = {s: 1.0 / (k_damage[s] * eps_mu) for s in SIDES}
-        interface = {s: eps_mu / k_damage[s] for s in SIDES}
-        fault_resist = 1.0 / (k_fault * eps_gamma)
-        exchange = eps_gamma / k_fault
-
-    # the interface resistance is indexed per pair: look up the surface cell
-    matrix_damage_resist = {}
-    for s in SIDES:
-        cells = geometry.matrix_damage[s].pairs[:, 1]
-        matrix_damage_resist[s] = interface[s][cells]
-    # the exchange resistance is indexed per fault cell on both sides
-    damage_fault_resist = {s: exchange.copy() for s in SIDES}
-
+    thickness = {"matrix": 1.0, "fault": eps_gamma}  # damage: eps_mu
+    along, across = {}, {}
+    for dom, mesh in geometry.domains.items():
+        along[dom], across[dom] = _resistances(
+            _per_cell(k[dom], mesh.n_cells, f"{dom} conductivity"),
+            thickness.get(dom, eps_mu),
+            mode,
+            dom,
+        )
     return CoefficientSet(
-        matrix_resist=matrix_resist,
-        damage_resist=damage_resist,
-        fault_resist=fault_resist,
-        matrix_damage_resist=matrix_damage_resist,
-        damage_fault_resist=damage_fault_resist,
+        resist=along,
+        # one per pair: the resistance of the paired surface cell
+        matrix_damage_resist={
+            s: across[f"damage_{s}"][geometry.matrix_damage[s].pairs[:, 1]]
+            for s in SIDES
+        },
+        damage_fault_resist={s: across["fault"].copy() for s in SIDES},
     )
 
 
@@ -218,32 +212,6 @@ class BoundaryConditions:
                     f"matrix face {f} lies on the fault plane and cannot "
                     "carry boundary data"
                 )
-
-
-@dataclass
-class SourceField:
-    """Volumetric source densities q per domain cell, with div u = q in
-    the domain's reduced conservation law (default zero everywhere)."""
-
-    matrix: np.ndarray | float = 0.0
-    damage: dict[str, np.ndarray | float] | float = 0.0
-    fault: np.ndarray | float = 0.0
-
-    def cell_integrals(self, geometry: MixedDimGeometry):
-        def expand(values, mesh):
-            arr = np.asarray(values, dtype=float)
-            if arr.ndim == 0:
-                arr = np.full(mesh.n_cells, float(arr))
-            return arr * mesh.cell_measures
-
-        damage = self.damage
-        if not isinstance(damage, dict):
-            damage = {s: damage for s in SIDES}
-        return (
-            expand(self.matrix, geometry.matrix),
-            {s: expand(damage[s], geometry.fault) for s in SIDES},
-            expand(self.fault, geometry.fault),
-        )
 
 
 @dataclass
@@ -301,12 +269,14 @@ def assemble(
     geometry: MixedDimGeometry,
     coefficients: CoefficientSet,
     bc: BoundaryConditions | None = None,
-    sources: SourceField | None = None,
+    sources: dict | None = None,
 ) -> BlockSystem:
-    """Assemble the coupled operator, right-hand side, and eliminations."""
+    """Assemble the coupled operator, right-hand side, and eliminations.
+    ``sources`` maps domains to source densities q (div u = q), a scalar or
+    one value per cell each; a domain left out has none."""
     bc = bc or BoundaryConditions()
     bc.validate(geometry)
-    sources = sources or SourceField()
+    sources = sources or {}
 
     domains = geometry.domains
     meshes = list(domains.values())
@@ -334,12 +304,10 @@ def assemble(
         penalty[faces] += coefficients.matrix_damage_resist[side] / (
             geometry.matrix.face_measures[faces]
         )
-    resist = {
-        "matrix": coefficients.matrix_resist,
-        **{f"damage_{s}": coefficients.damage_resist[s] for s in SIDES},
-        "fault": coefficients.fault_resist,
-    }
-    mass = [rt0_mass_matrix(m, resist[dom]) for dom, m in domains.items()]
+    mass = [
+        rt0_mass_matrix(m, coefficients.resist[dom])
+        for dom, m in domains.items()
+    ]
     mass[0] = sps.csr_array(mass[0] + sps.diags_array(penalty))
     exchange_resist = np.concatenate(
         [coefficients.damage_fault_resist[s] for s in SIDES]
@@ -381,11 +349,12 @@ def assemble(
     C = sps.csr_array(divergence + couplings)
 
     # -- right-hand sides --------------------------------------------------
-    q_matrix, q_damage, q_fault = sources.cell_integrals(geometry)
+    unknown = set(sources) - set(domains)
+    if unknown:
+        raise MeshError(f"source on unknown domain {sorted(unknown)[0]!r}")
     source_integrals = {
-        "matrix": q_matrix,
-        **{f"damage_{s}": q_damage[s] for s in SIDES},
-        "fault": q_fault,
+        dom: np.asarray(sources.get(dom, 0.0), dtype=float) * m.cell_measures
+        for dom, m in domains.items()
     }
     pressure = _by_domain(bc.pressure, geometry)
     g = np.concatenate(

@@ -40,15 +40,13 @@ def solve_equidim(
     resist,
     pressure_bc: dict[int, float] | None = None,
     flux_bc: dict[int, float] | None = None,
-    source=0.0,
 ) -> EquiDimSolution:
     """Mixed lowest-order solve of one Darcy domain.
 
     ``pressure_bc`` maps boundary faces to weakly imposed pressures;
     ``flux_bc`` maps boundary faces to outward flux densities, eliminated
-    essentially; unlisted boundary faces are zero-flux.  ``source`` is a
-    scalar or per-cell density with div u = source.  Raises SolverError
-    when the direct solve fails.
+    essentially; unlisted boundary faces are zero-flux.  Raises
+    SolverError when the direct solve fails.
     """
     pressure_bc = pressure_bc or {}
     flux_bc = flux_bc or {}
@@ -71,12 +69,8 @@ def solve_equidim(
     F = rt0_mass_matrix(mesh, resist)
     C = sps.csr_array(-rt0_div_matrix(mesh))
     g = _weak_pressure_load(mesh, pressure_bc)
-    q = np.asarray(source, dtype=float)
-    if q.ndim == 0:
-        q = np.full(mesh.n_cells, float(q))
-    f = -q * mesh.cell_measures
     fixed = _essential_flux_values(mesh, boundary, pressure_bc, flux_bc)
-    F, C, g, f = _eliminate_field(F, C, g, f, fixed)
+    F, C, g, f = _eliminate_field(F, C, g, np.zeros(mesh.n_cells), fixed)
     x = _direct_solve(F, C, g, f, _saddle_matrix(F, C))
     return EquiDimSolution(
         flux=x[: mesh.n_faces], pressure=x[mesh.n_faces :]

@@ -35,19 +35,20 @@ def _bary_weights(d: int) -> np.ndarray:
     return w / ((d + 1) * (d + 2))
 
 
-def _weights_per_cell(mesh: SimplicialMesh, weights) -> np.ndarray:
-    """Promote scalar/tensor weight data to an (n_cells, 3, 3) array."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim == 0:
-        w = np.full(mesh.n_cells, float(w))
-    if w.shape == (mesh.n_cells,):
-        if np.any(w <= 0):
-            bad = int(np.argmin(w))
-            raise MeshError(f"non-positive weight on cell {bad}")
-        return w[:, None, None] * np.eye(3)
-    if w.shape == (mesh.n_cells, 3, 3):
-        return w
-    raise MeshError("weights must be per-cell scalars or 3x3 tensors")
+def _per_cell(values, n: int, what: str, tensors: bool = False):
+    """One positive value per cell of ``n`` (a scalar is broadcast); with
+    ``tensors``, (n, 3, 3) per-cell tensors also pass."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim == 0:
+        arr = np.full(n, float(arr))
+    if arr.shape == (n,):
+        if np.any(arr <= 0):
+            bad = int(np.argmin(arr))
+            raise MeshError(f"non-positive {what} on cell {bad}")
+        return arr
+    if tensors and arr.shape == (n, 3, 3):
+        return arr
+    raise MeshError(f"{what} has shape {arr.shape} for {n} cells")
 
 
 def rt0_mass_matrix(mesh: SimplicialMesh, weights) -> sps.csr_array:
@@ -55,7 +56,9 @@ def rt0_mass_matrix(mesh: SimplicialMesh, weights) -> sps.csr_array:
     over cells of int_K (W zeta_i) . zeta_j, all cells at once.  The tests
     cross-check it against a per-cell oracle.
     """
-    W = _weights_per_cell(mesh, weights)
+    W = _per_cell(weights, mesh.n_cells, "weight", tensors=True)
+    if W.ndim == 1:
+        W = W[:, None, None] * np.eye(3)
     d = mesh.dim
     cv = mesh.vertices[mesh.cells]  # (nc, d+1, 3)
     D = cv[:, :, None, :] - cv[:, None, :, :]  # (nc, d+1, d+1, 3)

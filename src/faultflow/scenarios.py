@@ -52,6 +52,8 @@ from .assembly import (
     BlockSystem,
     BoundaryConditions,
     CoefficientSet,
+    _resistances,
+    _UnusableResistance,
     assemble,
     coefficients_from_mode,
 )
@@ -416,24 +418,25 @@ def _domain_targets(domain: str) -> list[str]:
     return [domain]
 
 
-def _coefficient_table(rules, centroids, regions) -> np.ndarray:
+def _coefficient_table(rules, centroids, regions) -> tuple:
     """Conductivity per cell from the coeff rules, later rules overriding
-    earlier ones where their predicate matches.  ``regions`` labels every
-    cell with its domain name (matrix, damage_left, damage_right, fault)."""
-    k = np.full(len(regions), np.nan)
-    for rule in rules:
+    earlier ones where their predicate matches, and each cell's rule
+    index.  ``regions`` labels every cell with its domain name."""
+    winner = np.full(len(regions), -1)
+    for i, rule in enumerate(rules):
         mask = np.isin(regions, _domain_targets(rule.region))
         if rule.predicate:
             mask &= rule.predicate.mask(centroids)
-        k[mask] = rule.value
-    uncovered = np.isnan(k)
+        winner[mask] = i
+    uncovered = winner < 0
     if uncovered.any():
         region = regions[np.argmax(uncovered)]
         raise ConfigError(
             f"some {region} cells have no coefficient; add a coeff "
             f"{region} line without a predicate first"
         )
-    return k
+    values = np.array([rule.value for rule in rules], dtype=float)
+    return values[winner], winner
 
 
 def resolve_coefficients(
@@ -441,23 +444,24 @@ def resolve_coefficients(
 ) -> CoefficientSet:
     meshes = geometry.domains
     counts = [mesh.n_cells for mesh in meshes.values()]
-    k = _coefficient_table(
+    k, winners = _coefficient_table(
         config.coeff_rules,
         np.concatenate([mesh.cell_centroids() for mesh in meshes.values()]),
         np.repeat(list(meshes), counts),
     )
-    table = dict(zip(meshes, np.split(k, np.cumsum(counts)[:-1])))
-    return coefficients_from_mode(
-        geometry,
-        {
-            "matrix": table["matrix"],
-            "damage": {s: table[f"damage_{s}"] for s in SIDES},
-            "fault": table["fault"],
-        },
-        config.mode,
-        eps_mu=config.eps_mu,
-        eps_gamma=config.eps_gamma,
-    )
+    cuts = np.cumsum(counts)[:-1]
+    try:
+        return coefficients_from_mode(
+            geometry,
+            dict(zip(meshes, np.split(k, cuts))),
+            config.mode,
+            eps_mu=config.eps_mu,
+            eps_gamma=config.eps_gamma,
+        )
+    except _UnusableResistance as exc:
+        winner = dict(zip(meshes, np.split(winners, cuts)))[exc.domain]
+        rule = config.coeff_rules[winner[exc.cell]]
+        raise ConfigError(f"line {rule.line}: {exc}") from None
 
 
 def _boundary_rules(rules, domains, tags, centroids) -> tuple:
@@ -675,10 +679,15 @@ def equidim_reference(
         config.eps_mu, config.eps_gamma, eta=eta, eta_coarse=eta_coarse
     )
 
-    k = _coefficient_table(
+    k, winners = _coefficient_table(
         config.coeff_rules, mesh.cell_centroids(), mesh.cell_regions
     )
-    resist = k if config.mode == "literal" else 1.0 / k
+    # strips meshed at their physical width: the along rule at t = 1
+    try:
+        resist, _ = _resistances(k, 1.0, config.mode, "reference")
+    except _UnusableResistance as exc:
+        rule = config.coeff_rules[winners[exc.cell]]
+        raise ConfigError(f"line {rule.line}: {exc}") from None
 
     # a boundary face takes the data of its owner cell's domain; on a
     # strip, the bottom and top faces are that layer's y0 and y1 ends

@@ -34,9 +34,11 @@ def series_setup(n, interface_resist, exchange_resist,
     geometry = build_two_block_geometry(n, n)
     coeff = CoefficientSet.for_geometry(
         geometry,
-        matrix_resist=matrix_resist,
-        damage_resist=damage_resist,
-        fault_resist=fault_resist,
+        resist={
+            "matrix": matrix_resist,
+            **{f"damage_{s}": damage_resist for s in SIDES},
+            "fault": fault_resist,
+        },
         matrix_damage_resist=interface_resist,
         damage_fault_resist=exchange_resist,
     )
@@ -91,11 +93,14 @@ def patch_setup(n_x, n_y, matrix_resist=2.0, damage_resist=None,
     face of every domain.  The exact solution is p = y everywhere with a
     uniform fault-parallel velocity per domain and no exchange flow."""
     geometry = build_two_block_geometry(n_x, n_y)
+    damage_resist = damage_resist or {"left": 3.0, "right": 5.0}
     coeff = CoefficientSet.for_geometry(
         geometry,
-        matrix_resist=matrix_resist,
-        damage_resist=damage_resist or {"left": 3.0, "right": 5.0},
-        fault_resist=fault_resist,
+        resist={
+            "matrix": matrix_resist,
+            **{f"damage_{s}": damage_resist[s] for s in SIDES},
+            "fault": fault_resist,
+        },
         matrix_damage_resist=interface_resist,
         damage_fault_resist=exchange_resist,
     )

@@ -19,7 +19,6 @@ from faultflow.assembly import (
     SIDES,
     BoundaryConditions,
     CoefficientSet,
-    SourceField,
     assemble,
     coefficients_from_mode,
 )
@@ -29,7 +28,12 @@ from faultflow.linsolve import (
     interface_law_residuals,
     solve_saddle,
 )
-from faultflow.mesh import MeshError, build_two_block_geometry
+from faultflow.mesh import (
+    InterfaceMap,
+    MeshError,
+    MixedDimGeometry,
+    build_two_block_geometry,
+)
 from helpers import series_setup, series_solution_vector
 
 
@@ -114,12 +118,7 @@ def dense_operator(geometry, coeff, bc, sources):
             po += geometry.damage["left"].n_cells
         return fo, po
 
-    resist = {
-        "matrix": coeff.matrix_resist,
-        "damage_left": coeff.damage_resist["left"],
-        "damage_right": coeff.damage_resist["right"],
-        "fault": coeff.fault_resist,
-    }
+    resist = coeff.resist
 
     # Darcy + divergence blocks of every domain, by quadrature
     for dom, mesh in meshes.items():
@@ -201,17 +200,14 @@ def dense_operator(geometry, coeff, bc, sources):
             * mesh.face_measures[face]
         )
 
-    # sources, entering the negated conservation rows
-    q_matrix, q_damage, q_fault = sources.cell_integrals(geometry)
-    per_dom = {
-        "matrix": q_matrix,
-        "damage_left": q_damage["left"],
-        "damage_right": q_damage["right"],
-        "fault": q_fault,
-    }
-    for dom, integrals in per_dom.items():
+    # sources, entering the negated conservation rows: each cell's
+    # density times its measure
+    for dom, density in sources.items():
+        mesh = meshes[dom]
         _, po = domain_offsets(dom)
-        b[po : po + len(integrals)] -= integrals
+        density = np.broadcast_to(density, mesh.n_cells)
+        for cell in range(mesh.n_cells):
+            b[po + cell] -= density[cell] * mesh.cell_measures[cell]
 
     # essential elimination, densely on the composed matrix
     plane = {
@@ -251,9 +247,12 @@ def smallest_case():
     geometry = build_two_block_geometry(1, 1)
     coeff = CoefficientSet.for_geometry(
         geometry,
-        matrix_resist=np.array([1.0, 2.0, 3.0, 4.0]),
-        damage_resist={"left": 3.0, "right": 5.0},
-        fault_resist=7.0,
+        resist={
+            "matrix": np.array([1.0, 2.0, 3.0, 4.0]),
+            "damage_left": 3.0,
+            "damage_right": 5.0,
+            "fault": 7.0,
+        },
         matrix_damage_resist={"left": 0.25, "right": 0.5},
         damage_fault_resist={"left": 11.0, "right": 13.0},
     )
@@ -268,9 +267,12 @@ def smallest_case():
     bc.pressure[("damage_left", tip)] = 2.0
     tip = int(geometry.fault.faces_with_tag("y0")[0])
     bc.pressure[("fault", tip)] = 0.25
-    sources = SourceField(
-        matrix=0.3, damage={"left": 0.1, "right": -0.2}, fault=0.7
-    )
+    sources = {
+        "matrix": 0.3,
+        "damage_left": 0.1,
+        "damage_right": -0.2,
+        "fault": 0.7,
+    }
     return geometry, coeff, bc, sources
 
 
@@ -319,9 +321,11 @@ def test_random_two_block_systems_are_well_formed(data):
     n_fault = geometry.fault.n_cells
     coeff = CoefficientSet.for_geometry(
         geometry,
-        matrix_resist=draw(geometry.matrix.n_cells),
-        damage_resist={s: draw(n_fault) for s in SIDES},
-        fault_resist=draw(n_fault),
+        resist={
+            "matrix": draw(geometry.matrix.n_cells),
+            **{f"damage_{s}": draw(n_fault) for s in SIDES},
+            "fault": draw(n_fault),
+        },
         matrix_damage_resist={s: draw(n_fault) for s in SIDES},
         damage_fault_resist={s: draw(n_fault) for s in SIDES},
     )
@@ -383,9 +387,12 @@ def test_constant_pressure_with_uniform_boundary_data():
     geometry = build_two_block_geometry(3, 3)
     coeff = CoefficientSet.for_geometry(
         geometry,
-        matrix_resist=2.0,
-        damage_resist={"left": 1.0, "right": 4.0},
-        fault_resist=3.0,
+        resist={
+            "matrix": 2.0,
+            "damage_left": 1.0,
+            "damage_right": 4.0,
+            "fault": 3.0,
+        },
         matrix_damage_resist=0.5,
         damage_fault_resist=6.0,
     )
@@ -417,9 +424,7 @@ def test_fault_injection_raises_fault_pressure():
     geometry = build_two_block_geometry(2, 2)
     coeff = CoefficientSet.for_geometry(
         geometry,
-        matrix_resist=1.0,
-        damage_resist=1.0,
-        fault_resist=1.0,
+        resist=1.0,
         matrix_damage_resist=1.0,
         damage_fault_resist=1.0,
     )
@@ -428,7 +433,7 @@ def test_fault_injection_raises_fault_pressure():
         for f in geometry.matrix.faces_with_tag(tag):
             bc.pressure[("matrix", int(f))] = 0.0
     system = assemble(
-        geometry, coeff, bc, SourceField(fault=1.0)
+        geometry, coeff, bc, {"fault": 1.0}
     )
     x = spla.spsolve(system.matrix.tocsc(), system.rhs)
     assert np.all(x[system.offsets["fault_pressure"]] > 0)
@@ -443,63 +448,134 @@ def test_fault_injection_raises_fault_pressure():
 # ---------------------------------------------------------------------------
 
 
+def k_table(matrix, damage, fault):
+    """A conductivity table keyed like ``geometry.domains``."""
+    return {
+        "matrix": matrix,
+        "damage_left": damage,
+        "damage_right": damage,
+        "fault": fault,
+    }
+
+
 def test_mode_values_for_known_tables():
     geometry = build_two_block_geometry(2, 2)
-    k = {"matrix": 1.0, "damage": 100.0, "fault": 100.0}
+    k = k_table(matrix=1.0, damage=100.0, fault=100.0)
     coeff = coefficients_from_mode(
         geometry, k, "literal", eps_mu=1e-2, eps_gamma=1e-2
     )
-    assert np.allclose(coeff.damage_resist["left"], 1.0, rtol=1e-12)
+    assert np.allclose(coeff.resist["damage_left"], 1.0, rtol=1e-12)
     assert np.allclose(coeff.matrix_damage_resist["left"], 1e4, rtol=1e-12)
-    assert np.allclose(coeff.fault_resist, 1.0, rtol=1e-12)
+    assert np.allclose(coeff.resist["fault"], 1.0, rtol=1e-12)
     assert np.allclose(coeff.damage_fault_resist["right"], 1e4, rtol=1e-12)
 
-    k = {"matrix": 1e-6, "damage": 1e-2, "fault": 1e-7}
+    k = k_table(matrix=1e-6, damage=1e-2, fault=1e-7)
     coeff = coefficients_from_mode(
         geometry, k, "permeability", eps_mu=1e-1, eps_gamma=1e-3
     )
-    assert np.allclose(coeff.matrix_resist, 1e6, rtol=1e-12)
-    assert np.allclose(coeff.damage_resist["right"], 1e3, rtol=1e-12)
+    assert np.allclose(coeff.resist["matrix"], 1e6, rtol=1e-12)
+    assert np.allclose(coeff.resist["damage_right"], 1e3, rtol=1e-12)
     assert np.allclose(coeff.matrix_damage_resist["left"], 10.0, rtol=1e-12)
-    assert np.allclose(coeff.fault_resist, 1e10, rtol=1e-12)
+    assert np.allclose(coeff.resist["fault"], 1e10, rtol=1e-12)
     assert np.allclose(coeff.damage_fault_resist["left"], 1e4, rtol=1e-12)
 
 
 def test_modes_agree_only_at_unit_thickness_and_unit_k():
     geometry = build_two_block_geometry(1, 1)
-    k = {"matrix": 1.0, "damage": 1.0, "fault": 1.0}
+    k = k_table(matrix=1.0, damage=1.0, fault=1.0)
     lit = coefficients_from_mode(geometry, k, "literal", 1.0, 1.0)
     per = coefficients_from_mode(geometry, k, "permeability", 1.0, 1.0)
     for s in SIDES:
-        assert np.allclose(lit.damage_resist[s], per.damage_resist[s])
+        assert np.allclose(
+            lit.resist[f"damage_{s}"], per.resist[f"damage_{s}"]
+        )
         assert np.allclose(
             lit.matrix_damage_resist[s], per.matrix_damage_resist[s]
         )
         assert np.allclose(
             lit.damage_fault_resist[s], per.damage_fault_resist[s]
         )
-    assert np.allclose(lit.fault_resist, per.fault_resist)
+    assert np.allclose(lit.resist["fault"], per.resist["fault"])
 
     # away from the k = 1/thickness coincidence the two modes differ
-    k = {"matrix": 4.0, "damage": 100.0, "fault": 100.0}
+    k = k_table(matrix=4.0, damage=100.0, fault=100.0)
     lit = coefficients_from_mode(geometry, k, "literal", 1e-1, 1e-1)
     per = coefficients_from_mode(geometry, k, "permeability", 1e-1, 1e-1)
-    assert not np.allclose(lit.matrix_resist, per.matrix_resist)
-    assert not np.allclose(lit.damage_resist["left"], per.damage_resist["left"])
+    assert not np.allclose(lit.resist["matrix"], per.resist["matrix"])
+    assert not np.allclose(
+        lit.resist["damage_left"], per.resist["damage_left"]
+    )
 
 
 def test_mode_rejects_bad_input():
     geometry = build_two_block_geometry(1, 1)
-    k = {"matrix": 1.0, "damage": 1.0, "fault": 1.0}
+    k = k_table(matrix=1.0, damage=1.0, fault=1.0)
     with pytest.raises(MeshError):
         coefficients_from_mode(geometry, k, "inverse", 1.0, 1.0)
     with pytest.raises(MeshError):
         coefficients_from_mode(geometry, k, "literal", -1.0, 1.0)
     with pytest.raises(MeshError):
         coefficients_from_mode(
-            geometry, {"matrix": -2.0, "damage": 1.0, "fault": 1.0},
+            geometry, k_table(matrix=-2.0, damage=1.0, fault=1.0),
             "literal", 1.0, 1.0,
         )
+
+
+def test_interface_resistances_take_one_value_per_pair():
+    geometry = build_two_block_geometry(2, 2)
+    tensors = np.tile(np.eye(3), (geometry.fault.n_cells, 1, 1))
+    for name in ("matrix_damage_resist", "damage_fault_resist"):
+        data = {"matrix_damage_resist": 1.0, "damage_fault_resist": 1.0}
+        data[name] = {s: tensors for s in SIDES}
+        with pytest.raises(MeshError, match="has shape"):
+            CoefficientSet.for_geometry(geometry, 1.0, **data)
+
+    # a per-cell tensor does weight a domain's Darcy law
+    scalar = CoefficientSet.for_geometry(geometry, 2.0, 1.0, 1.0)
+    resist = dict(scalar.resist)
+    n = geometry.matrix.n_cells
+    resist["matrix"] = np.tile(2.0 * np.eye(3), (n, 1, 1))
+    tensor = CoefficientSet.for_geometry(geometry, resist, 1.0, 1.0)
+    bc = BoundaryConditions()
+    for f in geometry.matrix.faces_with_tag("left"):
+        bc.pressure[("matrix", int(f))] = 1.0
+    a = assemble(geometry, scalar, bc).matrix
+    b = assemble(geometry, tensor, bc).matrix
+    assert np.array_equal(a.toarray(), b.toarray())
+
+
+@pytest.mark.parametrize("mode", ["literal", "permeability"])
+def test_interface_pair_order_does_not_change_the_solution(mode):
+    # every bundled pairing lists the surface cells in order; shuffled
+    # rows exercise the per-pair lookup of the interface resistance
+    geometry = build_two_block_geometry(6, 9)
+    rng = np.random.default_rng(13)
+    shuffled = MixedDimGeometry(
+        geometry.matrix,
+        geometry.fault,
+        {
+            s: InterfaceMap(rng.permutation(imap.pairs), s)
+            for s, imap in geometry.matrix_damage.items()
+        },
+    )
+    for s in SIDES:
+        cells = shuffled.matrix_damage[s].pairs[:, 1]
+        assert not np.array_equal(cells, np.arange(len(cells)))
+    k = {
+        dom: 10.0 ** rng.uniform(-2, 2, mesh.n_cells)
+        for dom, mesh in geometry.domains.items()
+    }
+    bc = BoundaryConditions()
+    for tag, value in (("left", 0.0), ("right", 1.0)):
+        for f in geometry.matrix.faces_with_tag(tag):
+            bc.pressure[("matrix", int(f))] = value
+
+    pressures = []
+    for geo in (geometry, shuffled):
+        coeff = coefficients_from_mode(geo, k, mode, 1e-2, 1e-2)
+        system = assemble(geo, coeff, bc)
+        pressures.append(solve_saddle(system).vector[system.F.shape[0] :])
+    assert np.array_equal(pressures[0], pressures[1])
 
 
 # ---------------------------------------------------------------------------
@@ -509,9 +585,7 @@ def test_mode_rejects_bad_input():
 
 def test_boundary_data_validation():
     geometry = build_two_block_geometry(2, 2)
-    coeff = CoefficientSet.for_geometry(
-        geometry, 1.0, 1.0, 1.0, 1.0, 1.0
-    )
+    coeff = CoefficientSet.for_geometry(geometry, 1.0, 1.0, 1.0)
 
     left = int(geometry.matrix.faces_with_tag("left")[0])
     bc = BoundaryConditions(
@@ -539,7 +613,7 @@ def test_boundary_data_validation():
 
 def test_field_layout_partitions_the_vector():
     geometry = build_two_block_geometry(2, 3)
-    coeff = CoefficientSet.for_geometry(geometry, 1.0, 1.0, 1.0, 1.0, 1.0)
+    coeff = CoefficientSet.for_geometry(geometry, 1.0, 1.0, 1.0)
     system = assemble(geometry, coeff, BoundaryConditions())
     stops = [0]
     for name, sl in system.offsets.items():
@@ -571,7 +645,7 @@ def test_field_layout_partitions_the_vector():
 
 def test_eliminated_dofs_record_imposed_values():
     geometry = build_two_block_geometry(2, 2)
-    coeff = CoefficientSet.for_geometry(geometry, 1.0, 1.0, 1.0, 1.0, 1.0)
+    coeff = CoefficientSet.for_geometry(geometry, 1.0, 1.0, 1.0)
     bc = BoundaryConditions()
     top = int(geometry.matrix.faces_with_tag("top")[0])
     bc.flux[("matrix", top)] = 2.5

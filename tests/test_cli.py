@@ -88,6 +88,33 @@ def test_config_error_exits_1_with_line(tmp_path, capsys):
         assert "line 4" in capsys.readouterr().err, bad
 
 
+def test_out_of_range_coefficient_exits_1_with_line(tmp_path, capsys):
+    # a conductivity the mode rule turns into an infinite resistance, or
+    # one whose reciprocal overflows, is a config error at its coeff line,
+    # not a RuntimeWarning (an error in this suite) or a failed
+    # factorization
+    case_i = faultflow.bundled_config("case_i").read_text()
+    tiny_literal = MINI.replace("nx 5\nny 5", "nx 2\nny 2")
+    small_sweep = ["--eps", "0.1", "--h", "0.25", "--h2", "0.125",
+                   "--eta-coarse", "0.125"]
+    for text, old, new, mode in (
+        (case_i, "coeff fault 100.0", "coeff fault 1e-310", "permeability"),
+        (tiny_literal, "coeff fault 3.0", "coeff fault 1e-320", "literal"),
+    ):
+        text = text.replace(old, new)
+        line = text.splitlines().index(new) + 1
+        path = tmp_path / "extreme.cfg"
+        path.write_text(text)
+        for argv in (
+            ["run", str(path)],
+            ["sweep", str(path), *small_sweep, "--modes", mode],
+        ):
+            assert main(argv) == 1, (new, argv[0])
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: line {line}: conductivity"), err
+            assert "out of floating-point range" in err, err
+
+
 def test_unsolvable_scenario_exits_2(tmp_path, capsys):
     # no pressure anchored anywhere: the solve must refuse, not crash
     path = tmp_path / "floating.cfg"

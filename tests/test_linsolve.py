@@ -17,7 +17,6 @@ from faultflow import linsolve
 from faultflow.assembly import (
     BoundaryConditions,
     CoefficientSet,
-    SourceField,
     assemble,
     coefficients_from_mode,
 )
@@ -130,7 +129,12 @@ def interface_case(n=6):
     k_fault = np.where((y > 0.25) & (y < 0.75), 2e-3, 1.0)
     coeff = coefficients_from_mode(
         geometry,
-        {"matrix": 1.0, "damage": 100.0, "fault": k_fault},
+        {
+            "matrix": 1.0,
+            "damage_left": 100.0,
+            "damage_right": 100.0,
+            "fault": k_fault,
+        },
         "literal",
         eps_mu=1e-2,
         eps_gamma=1e-2,
@@ -145,7 +149,7 @@ def interface_case(n=6):
 
 def test_reduced_operator_matches_dense_reduction():
     geometry, coeff, bc = series_setup(2, 3.0, 0.5)
-    system = assemble(geometry, coeff, bc, SourceField(matrix=0.4, fault=1.5))
+    system = assemble(geometry, coeff, bc, {"matrix": 0.4, "fault": 1.5})
     schur = build_pressure_schur(system)
     S, r = dense_reduction(system)
     assert np.max(np.abs(schur.to_dense() - S)) <= 1e-11
@@ -210,11 +214,14 @@ def test_schur_and_saddle_agree_on_random_problems():
 
         coeff = CoefficientSet.for_geometry(
             geometry,
-            matrix_resist=draw(geometry.matrix.n_cells),
-            damage_resist={
-                s: draw(geometry.damage[s].n_cells) for s in SIDES
+            resist={
+                "matrix": draw(geometry.matrix.n_cells),
+                **{
+                    f"damage_{s}": draw(geometry.damage[s].n_cells)
+                    for s in SIDES
+                },
+                "fault": draw(geometry.fault.n_cells),
             },
-            fault_resist=draw(geometry.fault.n_cells),
             matrix_damage_resist={
                 s: draw(len(geometry.matrix_damage[s])) for s in SIDES
             },
@@ -246,11 +253,11 @@ def test_schur_and_saddle_agree_on_random_problems():
             bc.pressure.pop(("matrix", f), None)
             bc.flux.pop(("matrix", f), None)
             bc.pressure[("matrix", f)] = 1.0
-        sources = SourceField(
-            matrix=float(rng.normal()),
-            damage={s: float(rng.normal()) for s in SIDES},
-            fault=float(rng.normal()),
-        )
+        sources = {
+            "matrix": float(rng.normal()),
+            **{f"damage_{s}": float(rng.normal()) for s in SIDES},
+            "fault": float(rng.normal()),
+        }
         system = assemble(geometry, coeff, bc, sources)
         direct = solve_saddle(system)
         reduced, _ = solve_schur(system, rtol=1e-13)
@@ -276,9 +283,11 @@ def test_saddle_solve_matches_dense_solve_at_high_contrast(data):
     n_fault = geometry.fault.n_cells
     coeff = CoefficientSet.for_geometry(
         geometry,
-        matrix_resist=draw(geometry.matrix.n_cells),
-        damage_resist={s: draw(n_fault) for s in SIDES},
-        fault_resist=draw(n_fault),
+        resist={
+            "matrix": draw(geometry.matrix.n_cells),
+            **{f"damage_{s}": draw(n_fault) for s in SIDES},
+            "fault": draw(n_fault),
+        },
         matrix_damage_resist={s: draw(n_fault) for s in SIDES},
         damage_fault_resist={s: draw(n_fault) for s in SIDES},
     )
@@ -303,7 +312,8 @@ def test_one_sided_damage_asymmetry():
         geometry,
         {
             "matrix": 1.0,
-            "damage": {"left": k_variable, "right": 100.0},
+            "damage_left": k_variable,
+            "damage_right": 100.0,
             "fault": k_variable,
         },
         "literal",
@@ -342,7 +352,7 @@ def test_conservation_and_balance_on_solved_system():
 
     # with sources: injected volume must show up in the budget
     geometry, coeff, bc = series_setup(3, 1.0, 1.0)
-    system = assemble(geometry, coeff, bc, SourceField(fault=2.0))
+    system = assemble(geometry, coeff, bc, {"fault": 2.0})
     solution = solve_saddle(system)
     assert abs(global_balance(system, solution)) <= 1e-9
     for residual in conservation_residuals(system, solution).values():
@@ -393,9 +403,9 @@ def test_velocity_reconstruction_shapes():
 
 def test_unanchored_system_is_reported_singular():
     geometry = build_two_block_geometry(2, 2)
-    coeff = CoefficientSet.for_geometry(geometry, 1.0, 1.0, 1.0, 1.0, 1.0)
+    coeff = CoefficientSet.for_geometry(geometry, 1.0, 1.0, 1.0)
     system = assemble(
-        geometry, coeff, BoundaryConditions(), SourceField(fault=1.0)
+        geometry, coeff, BoundaryConditions(), {"fault": 1.0}
     )
     with pytest.raises(SolverError, match="no boundary pressure"):
         solve_saddle(system)
@@ -420,7 +430,7 @@ def test_island_without_boundary_pressure_is_reported():
         matrix.faces[: base.matrix.n_faces], base.matrix.faces
     )
     geometry = MixedDimGeometry(matrix, base.fault, base.matrix_damage)
-    coeff = CoefficientSet.for_geometry(geometry, 1.0, 1.0, 1.0, 1.0, 1.0)
+    coeff = CoefficientSet.for_geometry(geometry, 1.0, 1.0, 1.0)
     bc = BoundaryConditions()
     for f in matrix.faces_with_tag("left"):
         bc.pressure[("matrix", int(f))] = 0.0
@@ -460,7 +470,7 @@ def test_unconverged_refinement_is_a_solver_error(monkeypatch):
 
 def test_zero_data_yields_zero_solution():
     geometry = build_two_block_geometry(3, 3)
-    coeff = CoefficientSet.for_geometry(geometry, 1.0, 1.0, 1.0, 1.0, 1.0)
+    coeff = CoefficientSet.for_geometry(geometry, 1.0, 1.0, 1.0)
     bc = BoundaryConditions()
     for f in geometry.matrix.faces_with_tag("left"):
         bc.pressure[("matrix", int(f))] = 0.0

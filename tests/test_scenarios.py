@@ -162,11 +162,11 @@ def test_coefficients_later_rules_override():
     # literal mode: fault resistance is k * eps_gamma
     y = geometry.fault.cell_centroids()[:, 1]
     inside = (y >= 0.25) & (y <= 0.75)
-    assert np.allclose(coeff.fault_resist[inside], 9.0 * 1e-2)
-    assert np.allclose(coeff.fault_resist[~inside], 3.0 * 1e-2)
+    assert np.allclose(coeff.resist["fault"][inside], 9.0 * 1e-2)
+    assert np.allclose(coeff.resist["fault"][~inside], 3.0 * 1e-2)
     # the damage alias fans out to both sides
     for side in ("left", "right"):
-        assert np.allclose(coeff.damage_resist[side], 2.0 * 1e-2)
+        assert np.allclose(coeff.resist[f"damage_{side}"], 2.0 * 1e-2)
 
 
 def test_coefficients_must_cover_every_cell():
