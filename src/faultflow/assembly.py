@@ -38,7 +38,12 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sps
 
-from .fem import _per_cell, rt0_div_matrix, rt0_mass_matrix
+from .fem import (
+    _finite_per_cell,
+    _per_cell,
+    rt0_div_matrix,
+    rt0_mass_matrix,
+)
 from .mesh import SIDES, MeshError, MixedDimGeometry, SimplicialMesh
 
 __all__ = [
@@ -272,8 +277,8 @@ def assemble(
     sources: dict | None = None,
 ) -> BlockSystem:
     """Assemble the coupled operator, right-hand side, and eliminations.
-    ``sources`` maps domains to source densities q (div u = q), a scalar or
-    one value per cell each; a domain left out has none."""
+    ``sources`` maps domains to finite source densities q (div u = q), a
+    scalar or one value per cell each; a domain left out has none."""
     bc = bc or BoundaryConditions()
     bc.validate(geometry)
     sources = sources or {}
@@ -353,7 +358,8 @@ def assemble(
     if unknown:
         raise MeshError(f"source on unknown domain {sorted(unknown)[0]!r}")
     source_integrals = {
-        dom: np.asarray(sources.get(dom, 0.0), dtype=float) * m.cell_measures
+        dom: m.cell_measures
+        * _finite_per_cell(sources.get(dom, 0.0), m.n_cells, f"{dom} source")
         for dom, m in domains.items()
     }
     pressure = _by_domain(bc.pressure, geometry)

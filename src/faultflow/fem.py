@@ -35,20 +35,26 @@ def _bary_weights(d: int) -> np.ndarray:
     return w / ((d + 1) * (d + 2))
 
 
-def _per_cell(values, n: int, what: str, tensors: bool = False):
-    """One positive value per cell of ``n`` (a scalar is broadcast); with
-    ``tensors``, (n, 3, 3) per-cell tensors also pass."""
+def _finite_per_cell(values, n: int, what: str, tensors: bool = False):
+    """One finite value per cell of ``n`` (a scalar is broadcast); with
+    ``tensors``, (n, 3, 3) per-cell tensors of finite entries also pass."""
     arr = np.asarray(values, dtype=float)
     if arr.ndim == 0:
         arr = np.full(n, float(arr))
-    if arr.shape == (n,):
-        if np.any(arr <= 0):
-            bad = int(np.argmin(arr))
-            raise MeshError(f"non-positive {what} on cell {bad}")
-        return arr
-    if tensors and arr.shape == (n, 3, 3):
-        return arr
-    raise MeshError(f"{what} has shape {arr.shape} for {n} cells")
+    if not (arr.shape == (n,) or tensors and arr.shape == (n, 3, 3)):
+        raise MeshError(f"{what} has shape {arr.shape} for {n} cells")
+    bad = np.argwhere(~np.isfinite(arr))
+    if len(bad):
+        raise MeshError(f"non-finite {what} on cell {bad[0, 0]}")
+    return arr
+
+
+def _per_cell(values, n: int, what: str, tensors: bool = False):
+    """``_finite_per_cell``, and every per-cell value positive."""
+    arr = _finite_per_cell(values, n, what, tensors)
+    if arr.ndim == 1 and np.any(arr <= 0):
+        raise MeshError(f"non-positive {what} on cell {int(np.argmin(arr))}")
+    return arr
 
 
 def rt0_mass_matrix(mesh: SimplicialMesh, weights) -> sps.csr_array:

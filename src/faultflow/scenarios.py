@@ -625,6 +625,7 @@ def _solve(config: RunConfig) -> tuple:
     coeff = resolve_coefficients(config, geometry)
     bc = resolve_boundary_conditions(config, geometry)
     system = assemble(geometry, coeff, bc)
+    _release_free_heap()
     if config.solver == "schur":
         solution, report = solve_schur(system)
     else:
@@ -788,7 +789,6 @@ def sweep(
             )
             reduced = []
             for n in grids:
-                _release_free_heap()
                 system, solution, _ = _solve(
                     replace(cfg, nx=n, ny=n, solver="saddle")
                 )

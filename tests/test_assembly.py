@@ -519,6 +519,11 @@ def test_mode_rejects_bad_input():
             geometry, k_table(matrix=-2.0, damage=1.0, fault=1.0),
             "literal", 1.0, 1.0,
         )
+    with pytest.raises(MeshError, match="non-finite fault conductivity"):
+        coefficients_from_mode(
+            geometry, k_table(matrix=1.0, damage=1.0, fault=np.nan),
+            "literal", 1.0, 1.0,
+        )
 
 
 def test_interface_resistances_take_one_value_per_pair():
@@ -609,6 +614,33 @@ def test_boundary_data_validation():
     bc = BoundaryConditions(pressure={("core", 0): 1.0})
     with pytest.raises(MeshError, match="unknown domain"):
         assemble(geometry, coeff, bc)
+
+
+def test_non_finite_or_misshapen_data_names_its_cell_or_domain():
+    geometry = build_two_block_geometry(2, 2)
+    n = geometry.fault.n_cells
+    tensors = np.tile(np.eye(3), (geometry.matrix.n_cells, 1, 1))
+    tensors[3, 1, 1] = np.inf
+    for resist, message in (
+        (np.nan, "non-finite matrix resistance on cell 0"),
+        ({**k_table(1.0, 1.0, 1.0), "matrix": tensors},
+         "non-finite matrix resistance on cell 3"),
+    ):
+        with pytest.raises(MeshError, match=message):
+            CoefficientSet.for_geometry(geometry, resist, 1.0, 1.0)
+
+    coeff = CoefficientSet.for_geometry(geometry, 1.0, 1.0, 1.0)
+    source = np.ones(n)
+    source[1] = np.nan
+    for sources, message in (
+        ({"fault": np.ones((n, 1))}, "fault source has shape"),
+        ({"fault": source}, "non-finite fault source on cell 1"),
+    ):
+        with pytest.raises(MeshError, match=message):
+            assemble(geometry, coeff, BoundaryConditions(), sources)
+    # sources may be zero or negative
+    sources = {"matrix": 0.0, "fault": -np.ones(n)}
+    assemble(geometry, coeff, BoundaryConditions(), sources)
 
 
 def test_field_layout_partitions_the_vector():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from faultflow import equidim
+from faultflow import equidim, linsolve
 from faultflow.equidim import solve_equidim
 from faultflow.linsolve import SolverError, _direct_solve
 from faultflow.mesh import MeshError, build_layered_equidim_mesh
@@ -133,12 +133,18 @@ def test_bc_validation():
     interior = int(np.flatnonzero(mesh.face_cells[:, 1] >= 0)[0])
     with pytest.raises(MeshError, match="not a boundary face"):
         solve_equidim(mesh, 1.0, pressure_bc={left: 1.0, interior: 2.0})
+    with pytest.raises(MeshError, match="non-finite weight on cell 0"):
+        solve_equidim(mesh, np.nan, pressure_bc={left: 1.0})
 
 
-def test_failed_solve_is_a_solver_error():
-    # a NaN resistance makes the factorization fail; the reference solve
-    # reports it like the coupled routes do (CLI exit code 2)
+def test_failed_solve_is_a_solver_error(monkeypatch):
+    # a factorization that fails; the reference solve reports it like the
+    # coupled routes do (CLI exit code 2)
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    monkeypatch.setattr(linsolve.spla, "splu", singular)
     mesh = build_layered_equidim_mesh(0.2, 0.1, eta=0.1, eta_coarse=0.5)
     left = int(mesh.faces_with_tag("left")[0])
     with pytest.raises(SolverError, match="direct factorization failed"):
-        solve_equidim(mesh, np.nan, pressure_bc={left: 1.0})
+        solve_equidim(mesh, 1.0, pressure_bc={left: 1.0})

@@ -41,6 +41,7 @@ from faultflow.scenarios import (
     load_config,
     resolve_boundary_conditions,
     resolve_coefficients,
+    run_scenario,
 )
 from helpers import (
     SIDES,
@@ -267,6 +268,24 @@ def test_schur_and_saddle_agree_on_random_problems():
         ), f"trial {trial}"
 
 
+@pytest.mark.parametrize("name", ["case_i", "case_ii", "case_iii"])
+def test_preconditioned_schur_route_on_bundled_cases(name):
+    # the lumped-complement preconditioner holds CG to a few dozen
+    # iterations at the bundled contrasts (Jacobi scaling took 686-791),
+    # and case_i, the hardest, then closes the budget and matches the
+    # direct route far inside the acceptance tolerances
+    result = run_scenario(load_config(bundled_config(name)))
+    solution, report = solve_schur(result.system)
+    assert 0 < report["iterations"] <= 40
+    assert report["residual"] <= 1e-12
+    if name == "case_i":
+        assert abs(global_balance(result.system, solution)) <= 1e-10
+        direct = result.solution.vector
+        assert np.max(np.abs(solution.vector - direct)) <= 1e-10 * np.max(
+            np.abs(direct)
+        )
+
+
 @settings(max_examples=30, deadline=None)
 @given(data=st.data())
 def test_saddle_solve_matches_dense_solve_at_high_contrast(data):
@@ -452,6 +471,9 @@ def test_non_finite_right_hand_side_is_a_solver_error():
     g[0] = np.nan
     with pytest.raises(SolverError, match="non-finite"):
         linsolve._direct_solve(system.F, system.C, g, system.f, system.matrix)
+    system.g[0] = np.nan
+    with pytest.raises(SolverError, match="non-finite"):
+        solve_schur(system)
 
 
 def test_unconverged_refinement_is_a_solver_error(monkeypatch):
@@ -481,3 +503,26 @@ def test_zero_data_yields_zero_solution():
     assert report["iterations"] == 0
     assert np.max(np.abs(solution.vector)) == 0.0
     assert isinstance(solution, MixedSolution)
+
+
+def test_unconverged_conjugate_gradients_is_a_solver_error(monkeypatch):
+    system = interface_case(3)
+    with pytest.raises(SolverError, match="stopped after 1 iterations"):
+        solve_schur(system, maxiter=1)
+
+    # a singular preconditioner is a failed factorization too
+    lumped = linsolve._lumped_complement
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            linsolve, "_lumped_complement", lambda F, C: 0.0 * lumped(F, C)
+        )
+        with pytest.raises(SolverError, match="lumped complement"):
+            solve_schur(system)
+
+    # a CG that claims convergence on a wrong iterate: the true residual
+    # exposes it, and restarting does not bring it down
+    monkeypatch.setattr(
+        linsolve.spla, "cg", lambda A, b, **kw: (np.zeros_like(b), 0)
+    )
+    with pytest.raises(SolverError, match="true residual 1.0e"):
+        solve_schur(system)

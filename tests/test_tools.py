@@ -89,25 +89,34 @@ def test_compare_snapshots_names_a_missing_file(tmp_path, capsys):
 
 def test_benchmark_replay_reproduces_the_public_call(tmp_path):
     # perfbench/ops.py repeats the pipeline of ``run_scenario`` call by
-    # call; the benchmark rejects a run whose replay drifts from it
+    # call; the benchmark rejects a run whose replay drifts from it.  Both
+    # solve routes: run2d writes its outputs, schur writes none.
     ops = load(ROOT / "perfbench" / "ops.py")
     spans = load(ROOT / "perfbench" / "spans.py")
-    op = ops.WORKLOADS["run2d"][0]
-    state = ops.setup("run2d")
-    public_dir, replay_dir = tmp_path / "public", tmp_path / "replay"
-    public = ops.run_op(op, state, public_dir)
-    replay = ops.replay_op(op, state, replay_dir, spans.Tracer(), 0)
+    for workload, scenario in (("run2d", "case_i"), ("schur", "case_ii")):
+        (op,) = [o for o in ops.WORKLOADS[workload] if o.scenario == scenario]
+        state = ops.setup(workload)
+        public_dir = replay_dir = None
+        if op.write:
+            public_dir = tmp_path / workload / "public"
+            replay_dir = tmp_path / workload / "replay"
+        public = ops.run_op(op, state, public_dir)
+        replay = ops.replay_op(op, state, replay_dir, spans.Tracer(), 0)
 
-    pressures = list(zip(ops.pressures(public), ops.pressures(replay)))
-    assert len(pressures) == 4
-    for a, b in pressures:
-        assert np.array_equal(a, b)
-    names = sorted(path.name for path in public_dir.iterdir())
-    assert "summary.csv" in names
-    assert names == sorted(path.name for path in replay_dir.iterdir())
-    for name in names:
-        assert (public_dir / name).read_bytes() == (
-            replay_dir / name
-        ).read_bytes(), name
-    for outcome in (public, replay):
-        assert ops.check(op, ops.observe(op, outcome), state.expected) == []
+        pressures = list(zip(ops.pressures(public), ops.pressures(replay)))
+        assert len(pressures) == 4
+        for a, b in pressures:
+            assert np.array_equal(a, b)
+        assert public.diagnostics == replay.diagnostics
+        if op.write:
+            names = sorted(path.name for path in public_dir.iterdir())
+            assert "summary.csv" in names
+            assert names == sorted(path.name for path in replay_dir.iterdir())
+            for name in names:
+                assert (public_dir / name).read_bytes() == (
+                    replay_dir / name
+                ).read_bytes(), name
+        for outcome in (public, replay):
+            assert (
+                ops.check(op, ops.observe(op, outcome), state.expected) == []
+            ), workload
