@@ -4,14 +4,17 @@ All meshes store vertex coordinates in 3D (unused components zero) so that
 segment, triangle, and tetrahedral meshes share one container.  Faces are the
 codimension-one facets of the cells, derived at construction with a
 deterministic ordering (lexicographic in the sorted vertex tuple); the facet
-opposite local vertex ``i`` of a cell is local face ``i``.  Each face carries
-one global unit normal: the outward normal of the lowest-indexed cell on the
-face, which owns it.  The orientation sign of a cell on a face is +1 when the
-global normal points out of that cell, so the owner's sign is always +1.  A
-boundary face has only its owner, hence a boundary face's flux dof is its
-outward net flux.  The coupled geometry holds two meshes: the matrix and one
-surface mesh of the fault plane, which the fault core and both damage layers
-share.
+opposite local vertex ``i`` of a cell is local face ``i``.  Orientation
+comes from ownership: the lowest-indexed cell on a face owns it, and the
+orientation sign of a cell on a face is +1 where it owns the face and -1 on
+the other cell.  ``face_normals`` holds one unit normal per face, its
+owner's outward normal; no kernel reads it.  Construction refuses flat
+cells, faces shared by more than two cells and bent or folded meshes, whose
+two cells on a face do not lie on opposite sides of it, so the global normal
+points out of the owner and into the other cell.  A boundary face has only
+its owner, hence a boundary face's flux dof is its outward net flux.  The
+coupled geometry holds two meshes: the matrix and one surface mesh of the
+fault plane, which the fault core and both damage layers share.
 """
 
 from __future__ import annotations
@@ -68,6 +71,38 @@ def _pad3(vertices: np.ndarray) -> np.ndarray:
     return out
 
 
+def _facet_geometry(facets: np.ndarray, apexes: np.ndarray):
+    """Measure of each facet and its perpendicular from an opposite vertex.
+
+    ``facets`` (n, k, 3) holds the k vertices of each facet and ``apexes``
+    (n, 3) one vertex off it.  The facet's tangents are orthonormalised by
+    modified Gram-Schmidt; its measure is the product of their lengths over
+    (k-1)!, so a point facet measures 1.  The perpendicular is the facet
+    centroid minus the apex with its components along the tangents
+    removed: it points away from the apex and its length is the apex's
+    height over the facet.  A tangent or perpendicular left at round-off
+    (``GEOM_TOL`` of the vector it came from) is zero, so a flat cell
+    measures exactly 0, and a zero tangent is not divided by.
+    """
+    basis = []
+
+    def off_span(v):
+        r = v.copy()
+        for q in basis:
+            r -= np.einsum("nx,nx->n", r, q)[:, None] * q
+        length = np.linalg.norm(r, axis=1)
+        length[length <= GEOM_TOL * np.linalg.norm(v, axis=1)] = 0.0
+        return np.where(length[:, None] > 0, r, 0.0), length
+
+    measure = np.ones(len(facets))
+    for k in range(1, facets.shape[1]):
+        e, length = off_span(facets[:, k] - facets[:, 0])
+        measure *= length
+        basis.append(e / np.where(length > 0, length, np.inf)[:, None])
+    perp, _ = off_span(facets.mean(axis=1) - apexes)
+    return measure / math.factorial(facets.shape[1] - 1), perp
+
+
 class SimplicialMesh:
     """Conforming simplicial mesh of one fixed dimension.
 
@@ -90,6 +125,12 @@ class SimplicialMesh:
 
     Derived arrays (faces, measures, normals, orientation signs) are computed
     once here and marked read-only; meshes are immutable after construction.
+    Orientation comes from ownership: ``cell_face_signs`` is +1 on the faces
+    a cell owns (the lowest-indexed cell on a face) and -1 elsewhere.
+    ``face_normals`` holds one unit normal per face, taken from its owner;
+    no kernel reads it.  Construction raises MeshError on a flat cell and
+    on a bent or folded mesh, and TopologyError on a face shared by more
+    than two cells.
     """
 
     def __init__(
@@ -152,104 +193,67 @@ class SimplicialMesh:
     def _derive_entities(self) -> None:
         d = self.dim
         nc = self.n_cells
-        # local facet i keeps every cell vertex except local vertex i
+        # local facet i keeps every cell vertex except local vertex i, so
+        # slot s of ``flat`` is opposite vertex ``self.cells.ravel()[s]``
         keep = np.array(
             [[j for j in range(d + 1) if j != i] for i in range(d + 1)],
             dtype=np.int64,
         )
-        facets = self.cells[:, keep]  # (nc, d+1, d)
-        flat = np.sort(facets.reshape(-1, d), axis=1)
-        self.faces, inverse = np.unique(flat, axis=0, return_inverse=True)
+        flat = np.sort(self.cells[:, keep].reshape(-1, d), axis=1)
+        self.faces, first, inverse, counts = np.unique(
+            flat, axis=0, return_index=True, return_inverse=True,
+            return_counts=True,
+        )
+        inverse = inverse.ravel()
+        nf = len(self.faces)
         self.cell_faces = inverse.reshape(nc, d + 1).astype(np.int64)
+
+        # The first slot of a face, on its lowest-indexed cell, owns it: the
+        # owner's outward normal is the face normal and its sign is +1.
+        slots = np.arange(len(flat), dtype=np.int64)
+        owned = first[inverse] == slots
+        second = slots[~owned]
+        shared = inverse[second]
 
         V = self.vertices
         cv = V[self.cells]  # (nc, d+1, 3)
-        if d == 1:
-            e = cv[:, 1] - cv[:, 0]
-            self.cell_measures = np.linalg.norm(e, axis=1)
-        elif d == 2:
-            cr = np.cross(cv[:, 1] - cv[:, 0], cv[:, 2] - cv[:, 0])
-            self.cell_measures = 0.5 * np.linalg.norm(cr, axis=1)
-        else:
-            mat = np.stack(
-                [cv[:, 1] - cv[:, 0], cv[:, 2] - cv[:, 0], cv[:, 3] - cv[:, 0]],
-                axis=1,
-            )
-            self.cell_measures = np.abs(np.linalg.det(mat)) / 6.0
-        # NaN-safe: a NaN measure fails the test too
+        base, perp = _facet_geometry(cv[:, 1:], cv[:, 0])
+        self.cell_measures = base * np.linalg.norm(perp, axis=1) / d
+        apex = V[self.cells.ravel()]  # (nc * (d+1), 3), per slot
+        fv = V[self.faces]  # (nf, d, 3)
+        self.face_measures, out = _facet_geometry(fv, apex[first])
+        _, other = _facet_geometry(fv[shared], apex[second])
+        # the height of every slot's apex over its face, owners first
+        heights = np.linalg.norm(np.concatenate([out, other]), axis=1)
+        slot_cells = np.concatenate([first, second]) // (d + 1)
+        # NaN-safe: a NaN measure or height fails the test too
         degenerate = ~(self.cell_measures > 0)
+        degenerate[slot_cells[~(heights > 0)]] = True
         if degenerate.any():
             raise MeshError(
                 f"cell {int(np.argmax(degenerate))} has non-positive measure"
             )
-
-        fv = V[self.faces]  # (nf, d, 3)
-        if d == 1:
-            self.face_measures = np.ones(len(self.faces))
-        elif d == 2:
-            self.face_measures = np.linalg.norm(fv[:, 1] - fv[:, 0], axis=1)
-        else:
-            cr = np.cross(fv[:, 1] - fv[:, 0], fv[:, 2] - fv[:, 0])
-            self.face_measures = 0.5 * np.linalg.norm(cr, axis=1)
-
-        # outward normal of each local facet, per cell
-        opp = cv  # (nc, d+1, 3): local vertex i is opposite local facet i
-        fcoords = V[facets]  # (nc, d+1, d, 3)
-        if d == 1:
-            out = fcoords[:, :, 0, :] - opp
-        elif d == 2:
-            a = fcoords[:, :, 0, :]
-            b = fcoords[:, :, 1, :]
-            e = b - a
-            elen2 = np.einsum("cfx,cfx->cf", e, e)
-            w = 0.5 * (a + b) - opp
-            out = w - (np.einsum("cfx,cfx->cf", w, e) / elen2)[..., None] * e
-        else:
-            a = fcoords[:, :, 0, :]
-            e1 = fcoords[:, :, 1, :] - a
-            e2 = fcoords[:, :, 2, :] - a
-            out = np.cross(e1, e2)
-            fc = fcoords.mean(axis=2)
-            flip = np.einsum("cfx,cfx->cf", out, fc - opp) < 0
-            out[flip] *= -1.0
-        norms = np.linalg.norm(out, axis=2)
-        if np.any(norms <= 0):
-            raise MeshError("degenerate cell: zero-measure facet normal")
-        out = out / norms[..., None]
-
-        # The lowest-indexed cell on a face owns it and defines the global
-        # normal as its outward normal; the paired cell gets sign -1.
-        self.face_cells = np.full((len(self.faces), 2), -1, dtype=np.int64)
-        owner_local = np.full(len(self.faces), -1, dtype=np.int64)
-        cell_ids = np.repeat(np.arange(nc, dtype=np.int64), d + 1)
-        local_ids = np.tile(np.arange(d + 1, dtype=np.int64), nc)
-        face_ids = self.cell_faces.ravel()
-        order = np.lexsort((cell_ids, face_ids))
-        fo, co, lo = face_ids[order], cell_ids[order], local_ids[order]
-        first = np.ones(len(fo), dtype=bool)
-        first[1:] = fo[1:] != fo[:-1]
-        second = np.zeros(len(fo), dtype=bool)
-        second[1:] = ~first[1:]
-        # a face shared by more than two cells is non-manifold
-        if np.any(second[1:] & second[:-1] & (fo[1:] == fo[:-1])):
-            bad = fo[1:][second[1:] & second[:-1] & (fo[1:] == fo[:-1])][0]
+        if np.any(counts > 2):
+            bad = int(np.argmax(counts > 2))
             raise TopologyError(f"face {bad} is shared by more than two cells")
-        self.face_cells[fo[first], 0] = co[first]
-        owner_local[fo[first]] = lo[first]
-        self.face_cells[fo[second], 1] = co[second]
-        self.face_normals = out[
-            self.face_cells[:, 0], owner_local
-        ].copy()  # (nf, 3)
 
-        global_at = self.face_normals[self.cell_faces]  # (nc, d+1, 3)
-        dots = np.einsum("cfx,cfx->cf", out, global_at)
-        signs = np.where(dots > 0, 1, -1).astype(np.int64)
-        if np.any(np.abs(np.abs(dots) - 1.0) > 1e-9):
+        self.face_cells = np.full((nf, 2), -1, dtype=np.int64)
+        self.face_cells[:, 0] = first // (d + 1)
+        self.face_cells[shared, 1] = second // (d + 1)
+        self.cell_face_signs = np.where(owned, 1, -1).reshape(nc, d + 1)
+        self.face_normals = out / heights[:nf, None]
+        # the second cell must lie on the other side of the face: its
+        # outward normal is the opposite of the owner's
+        cos = np.einsum(
+            "fx,fx->f", other, self.face_normals[shared]
+        ) / heights[nf:]
+        bent = ~(np.abs(cos + 1.0) <= 1e-9)
+        if bent.any():
             raise MeshError(
-                "non-conforming mesh: facet normals of neighbouring cells "
-                "are not anti-parallel"
+                f"non-conforming mesh: the two cells on face "
+                f"{int(shared[np.argmax(bent)])} do not lie on opposite "
+                "sides of it (a bent or folded mesh)"
             )
-        self.cell_face_signs = signs
 
     # ------------------------------------------------------------------ #
 
@@ -270,23 +274,9 @@ class SimplicialMesh:
         )
 
     def validate(self) -> None:
-        """Check the mesh invariants; raise MeshError on the first failure.
-        Construction already refused cells of non-positive measure."""
-        nrm = np.linalg.norm(self.face_normals, axis=1)
-        if np.any(np.abs(nrm - 1.0) > 1e-12):
-            raise MeshError("face normals are not unit vectors")
-        # every cell is a closed polytope: signed facet areas sum to zero
-        contrib = (
-            self.cell_face_signs[..., None]
-            * self.face_measures[self.cell_faces][..., None]
-            * self.face_normals[self.cell_faces]
-        )
-        resid = np.abs(contrib.sum(axis=1)).max() if self.n_cells else 0.0
-        scale = max(1.0, float(self.face_measures.max(initial=1.0)))
-        if resid > 1e-10 * scale:
-            raise MeshError(
-                f"closed-polytope identity violated (residual {resid:.3e})"
-            )
+        """Check that every boundary tag names a face; raise MeshError
+        otherwise.  Construction already refused degenerate cells, faces
+        shared by more than two cells and bent or folded meshes."""
         for f in self.boundary_tags:
             if f < 0 or f >= self.n_faces:
                 raise MeshError(f"boundary tag on unknown face {f}")

@@ -59,7 +59,9 @@ from .assembly import (
 )
 from .equidim import solve_equidim
 from .linsolve import (
+    _REFINE_TOL,
     MixedSolution,
+    SolverError,
     cell_velocities,
     conservation_residuals,
     global_balance,
@@ -531,8 +533,7 @@ class RunResult:
     outputs: list[Path]
 
 
-def _diagnostics(system, solution, solver_report) -> dict:
-    conservation = conservation_residuals(system, solution)
+def _diagnostics(system, solution, solver_report, conservation) -> dict:
     laws = interface_law_residuals(system, solution)
     out = {
         "conservation_max": max(
@@ -620,7 +621,11 @@ def _resolve_output_dir(config: RunConfig, output_dir) -> Path | None:
 
 def _solve(config: RunConfig) -> tuple:
     """Geometry, coefficients, boundary data, assembly and the solve of
-    the configured route.  Returns (system, solution, solver report)."""
+    the configured route.  Returns (system, solution, solver report,
+    conservation residuals by domain).
+
+    Raises SolverError when a row-scaled conservation residual is above
+    ``_REFINE_TOL`` max|x|: the solution does not solve its own system."""
     geometry = build_geometry(config)
     coeff = resolve_coefficients(config, geometry)
     bc = resolve_boundary_conditions(config, geometry)
@@ -630,15 +635,26 @@ def _solve(config: RunConfig) -> tuple:
         solution, report = solve_schur(system)
     else:
         solution, report = solve_saddle(system), None
-    return system, solution, report
+    conservation = conservation_residuals(system, solution)
+    size = float(np.max(np.abs(solution.vector)))
+    for name, residuals in conservation.items():
+        cell = int(np.argmax(np.abs(residuals)))
+        worst = abs(float(residuals[cell]))
+        if not worst <= _REFINE_TOL * size + np.finfo(float).tiny:
+            raise SolverError(
+                f"the {config.solver} solution fails its conservation "
+                f"check: {name} cell {cell} has residual {worst:.1e} "
+                f"against max|x| {size:.1e}"
+            )
+    return system, solution, report, conservation
 
 
 def run_scenario(config: RunConfig | str | Path, output_dir=None) -> RunResult:
     """Build, solve, and optionally write one scenario."""
     if not isinstance(config, RunConfig):
         config = load_config(config)
-    system, solution, report = _solve(config)
-    diagnostics = _diagnostics(system, solution, report)
+    system, solution, report, conservation = _solve(config)
+    diagnostics = _diagnostics(system, solution, report, conservation)
 
     outputs = []
     out_dir = _resolve_output_dir(config, output_dir)
@@ -789,7 +805,7 @@ def sweep(
             )
             reduced = []
             for n in grids:
-                system, solution, _ = _solve(
+                system, solution, _, _ = _solve(
                     replace(cfg, nx=n, ny=n, solver="saddle")
                 )
                 reduced += [system.geometry.matrix, solution.matrix_pressure]

@@ -146,6 +146,55 @@ def test_check_mesh_rejects_garbage(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_check_mesh_refuses_folded_mesh(tmp_path, capsys):
+    # move the interior matrix vertex (0.5, 0.5) past its upper neighbour:
+    # its triangles fold over their neighbours, every measure stays positive
+    mesh_path = tmp_path / "folded.msh"
+    export_mesh(build_two_block_geometry(2, 2), mesh_path)
+    lines = mesh_path.read_text().splitlines()
+    assert lines[0] == "[domain matrix dim=2]" and lines[5] == "v 0.5 0.5 0.0"
+    lines[5] = "v 0.5 1.25 0.0"
+    mesh_path.write_text("\n".join(lines) + "\n")
+    assert main(["check-mesh", str(mesh_path)]) == 2
+    captured = capsys.readouterr()
+    assert "mesh ok" not in captured.out
+    err = captured.err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "domain 'matrix': non-conforming mesh" in err
+
+
+# a literal-mode config whose schur solution violates conservation: the
+# damage resistances dwarf the matrix rows, so a norm-wise CG stop leaves
+# residuals of order one in the matrix cells
+UNCONSERVED = """
+geometry two_block
+nx 1
+ny 2
+eps_mu 1e12
+eps_gamma 2.5
+mode literal
+coeff matrix 1e-12
+coeff damage 1e150
+coeff fault 1
+bc pressure -3 on matrix:boundary
+bc pressure 1 on damage:y1
+bc pressure -3 on layers:y0
+"""
+
+
+def test_solution_failing_conservation_exits_2(tmp_path, capsys):
+    path = tmp_path / "unconserved.cfg"
+    path.write_text(UNCONSERVED)
+    assert main(["run", str(path), "--solver", "schur"]) == 2
+    captured = capsys.readouterr()
+    err = captured.err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "conservation check: matrix cell 6 has residual" in err
+    assert "conservation_max" not in captured.out
+    assert main(["run", str(path), "--solver", "saddle"]) == 0
+    assert "conservation_max" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize(
     "argv,code",
     [

@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from faultflow.mesh import (
@@ -110,6 +110,124 @@ def test_closed_polytope_and_unit_normals():
             * mesh.face_normals[mesh.cell_faces]
         )
         assert np.abs(contrib.sum(axis=1)).max() < 1e-12
+
+
+# ------------------------------------------------------------------ #
+#  refusals of mesh construction
+# ------------------------------------------------------------------ #
+
+
+@pytest.mark.parametrize(
+    "dim,vertices",
+    [
+        (1, [[0.5, 0.25], [0.5, 0.25]]),  # zero-length segment
+        (2, [[0.0, 0.0], [1.0, 1.0], [2.0, 2.0]]),  # collinear, plane
+        (2, [[0.1, 0.2, 0.3], [0.4, 0.5, 0.6], [0.7, 0.8, 0.9]]),  # in 3D
+        (2, [[0.0, 0.0, 0.0], [1.0, 2.0, 3.0], [0.0, 0.0, 0.0]]),  # repeated
+        (3, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 0]]),  # flat tet
+        (3, [[0, 0, 1], [1, 0, 0], [2, 0, 0], [3, 0, 0]]),  # flat facet 0
+        (3, [[0.1, 0.2, 0.3], [0.4, 0.5, 0.7], [0.3, -0.1, 0.2],
+             [0.6, 0.2, 0.6]]),  # coplanar to round-off
+    ],
+)
+def test_degenerate_cell_is_refused(dim, vertices):
+    with pytest.raises(MeshError, match="cell 0 has non-positive measure"):
+        SimplicialMesh(dim, np.array(vertices, float), [list(range(dim + 1))])
+
+
+def test_face_on_three_cells_is_refused():
+    vertices = [[0, 0], [1, 0], [0, 1], [0, -1], [1, 1]]
+    cells = [[0, 1, 2], [0, 1, 3], [0, 1, 4]]
+    with pytest.raises(
+        TopologyError, match="face 0 is shared by more than two cells"
+    ):
+        SimplicialMesh(2, vertices, cells)
+
+
+@pytest.mark.parametrize(
+    "dim,vertices,cells",
+    [
+        # two triangles on one edge, bent by 0.1 rad out of their plane
+        (2, [[0, 0, 0], [1, 0, 0], [0.5, -1, 0],
+             [0.5, np.cos(0.1), np.sin(0.1)]], [[0, 1, 2], [0, 1, 3]]),
+        # a polyline kinked at its middle vertex
+        (1, [[0, 0], [1, 0], [2, 0.1]], [[0, 1], [1, 2]]),
+    ],
+)
+def test_bent_mesh_is_refused(dim, vertices, cells):
+    with pytest.raises(MeshError, match="non-conforming"):
+        SimplicialMesh(dim, vertices, cells)
+
+
+@pytest.mark.parametrize(
+    "dim,vertices,cells",
+    [
+        # the second triangle lies on the same side of the shared edge
+        (2, [[0, 0], [1, 0], [0, 1], [0.5, 0.3]], [[0, 1, 2], [0, 1, 3]]),
+        # the second tetrahedron lies on the same side of the shared face
+        (3, [[0, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1], [0.2, 0.2, 0.5]],
+         [[0, 1, 2, 3], [0, 1, 2, 4]]),
+        # a polyline that turns back on itself
+        (1, [[0, 0], [1, 0], [0.5, 0]], [[0, 1], [1, 2]]),
+    ],
+)
+def test_folded_mesh_is_refused(dim, vertices, cells):
+    # both cells of a fold would take sign +1 on their shared face
+    with pytest.raises(MeshError, match="non-conforming"):
+        SimplicialMesh(dim, vertices, cells)
+
+
+@st.composite
+def _placed_simplex(draw):
+    """A random affine simplex of dimension 1, 2 or 3 under a random
+    rotation and shift in 3D."""
+    dim = draw(st.integers(1, 3))
+    coord = st.floats(-1.0, 1.0, allow_nan=False)
+    local = np.zeros((dim + 1, 3))
+    local[:, :dim] = np.array(
+        draw(st.lists(coord, min_size=dim * (dim + 1),
+                      max_size=dim * (dim + 1)))
+    ).reshape(dim + 1, dim)
+    q, r = np.linalg.qr(
+        np.array(draw(st.lists(coord, min_size=9, max_size=9))).reshape(3, 3)
+    )
+    assume(np.abs(np.diag(r)).min() > 1e-3)
+    shift = np.array(draw(st.lists(coord, min_size=3, max_size=3)))
+    return dim, local @ q.T + 4.0 * shift
+
+
+def _simplex_measure(points):
+    """Closed-form measure of the simplex on ``points`` (k, 3)."""
+    e = points[1:] - points[0]
+    if len(e) == 0:
+        return 1.0
+    if len(e) == 1:
+        return float(np.linalg.norm(e[0]))
+    if len(e) == 2:
+        return float(np.linalg.norm(np.cross(e[0], e[1]))) / 2.0
+    return abs(float(np.linalg.det(e))) / 6.0
+
+
+@settings(max_examples=300, deadline=None)
+@given(_placed_simplex())
+def test_facet_formula_on_random_simplices(placed):
+    dim, vertices = placed
+    measure = _simplex_measure(vertices)
+    assume(measure > 1e-2)  # degenerate cells: see the refusal tests
+    mesh = SimplicialMesh(dim, vertices, [list(range(dim + 1))])
+    assert mesh.cell_measures[0] == pytest.approx(measure, rel=1e-12)
+    assert np.all(mesh.cell_face_signs == 1)
+    for f, face in enumerate(mesh.faces):
+        points = vertices[face]
+        apex = vertices[np.setdiff1d(np.arange(dim + 1), face)[0]]
+        assert mesh.face_measures[f] == pytest.approx(
+            _simplex_measure(points), rel=1e-12
+        )
+        normal = mesh.face_normals[f]
+        assert abs(np.linalg.norm(normal) - 1.0) <= 1e-12
+        for edge in points[1:] - points[0]:
+            assert abs(normal @ edge) <= 1e-12 * np.linalg.norm(edge)
+        assert normal @ (points.mean(axis=0) - apex) > 0
 
 
 def test_interface_maps_are_coincident_bijections():
