@@ -11,9 +11,13 @@ where s_i is the cell's orientation sign on the face and |K| the cell
 measure.  Its divergence is the constant s_i / |K|, so the discrete
 divergence of a cell is just the signed sum of its face dofs.
 
-Mass integrals are evaluated exactly for affine simplices through the
-barycentric moment identity  int_K lam_a lam_b = |K| (1 + delta_ab) /
-((d+1)(d+2)).
+One per-cell table serves every kernel: the basis values at the cell
+centroid c, Z_i = s_i (c - v_i) / (d |K|), which velocity recovery reads.
+As zeta_i(x) = Z_i + s_i (x - c) / (d |K|), the second-moment identity
+int_K (x - c)(x - c)^T = |K| / ((d+1)(d+2)) sum_a (v_a - c)(v_a - c)^T
+gives the mass integrals int_K (W zeta_i) . zeta_j of an affine simplex:
+
+    |K| (G_ij + s_i s_j tr(G) / ((d+1)(d+2))),    G = Z W Z^T.
 """
 
 from __future__ import annotations
@@ -30,9 +34,16 @@ __all__ = [
 ]
 
 
-def _bary_weights(d: int) -> np.ndarray:
-    w = np.ones((d + 1, d + 1)) + np.eye(d + 1)
-    return w / ((d + 1) * (d + 2))
+def _centroid_basis(mesh: SimplicialMesh) -> np.ndarray:
+    """The basis values at the cell centroids, (n_cells, d+1, 3), from edge
+    vectors: their rounding scales with the cell, not with its position."""
+    cv = mesh.vertices[mesh.cells]
+    edges = cv - cv[:, :1]
+    return (
+        mesh.cell_face_signs[..., None]
+        * (edges.mean(axis=1)[:, None, :] - edges)
+        / (mesh.dim * mesh.cell_measures)[:, None, None]
+    )
 
 
 def _finite_per_cell(values, n: int, what: str, tensors: bool = False):
@@ -65,26 +76,22 @@ def rt0_mass_matrix(mesh: SimplicialMesh, weights) -> sps.csr_array:
     W = _per_cell(weights, mesh.n_cells, "weight", tensors=True)
     if W.ndim == 1:
         W = W[:, None, None] * np.eye(3)
-    d = mesh.dim
-    cv = mesh.vertices[mesh.cells]  # (nc, d+1, 3)
-    D = cv[:, :, None, :] - cv[:, None, :, :]  # (nc, d+1, d+1, 3)
-    E = np.einsum("cxy,cbjy->cbjx", W, D)
-    M = np.einsum("caix,cbjx,ab->cij", D, E, _bary_weights(d))
+    Z = _centroid_basis(mesh)
+    G = Z @ W @ Z.transpose(0, 2, 1)
+    n1 = mesh.dim + 1
+    second = np.trace(G, axis1=1, axis2=2) / (n1 * (n1 + 1))
     signs = mesh.cell_face_signs.astype(float)
-    M *= signs[:, :, None] * signs[:, None, :]
-    M /= (d * d * mesh.cell_measures)[:, None, None]
-
-    n1 = d + 1
-    rows = np.broadcast_to(
-        mesh.cell_faces[:, :, None], (mesh.n_cells, n1, n1)
-    ).ravel()
-    cols = np.broadcast_to(
-        mesh.cell_faces[:, None, :], (mesh.n_cells, n1, n1)
-    ).ravel()
-    A = sps.coo_array(
+    M = G + signs[:, :, None] * signs[:, None, :] * second[:, None, None]
+    # An entry that is exactly 0 (on a right isosceles triangle, the
+    # hypotenuse face against each leg) keeps a round-off residue; the
+    # sparse products would keep it, and the factors would fill in.
+    M[np.abs(M) <= 16 * np.finfo(float).eps * second[:, None, None]] = 0.0
+    M *= mesh.cell_measures[:, None, None]
+    rows = np.repeat(mesh.cell_faces, n1, axis=1).ravel()
+    cols = np.tile(mesh.cell_faces, n1).ravel()
+    return sps.coo_array(
         (M.ravel(), (rows, cols)), shape=(mesh.n_faces, mesh.n_faces)
-    )
-    return A.tocsr()
+    ).tocsr()
 
 
 def rt0_div_matrix(mesh: SimplicialMesh) -> sps.csr_array:
@@ -101,12 +108,5 @@ def rt0_div_matrix(mesh: SimplicialMesh) -> sps.csr_array:
 
 def rt0_eval_centroids(mesh: SimplicialMesh, dofs: np.ndarray) -> np.ndarray:
     """Evaluate an RT0 flux field at the cell centroids, (n_cells, 3)."""
-    dofs = np.asarray(dofs, dtype=float)
-    cv = mesh.vertices[mesh.cells]
-    centro = cv.mean(axis=1)
-    local = (
-        mesh.cell_face_signs[..., None]
-        * (centro[:, None, :] - cv)
-        / (mesh.dim * mesh.cell_measures)[:, None, None]
-    )
-    return np.einsum("cf,cfx->cx", dofs[mesh.cell_faces], local)
+    local = np.asarray(dofs, dtype=float)[mesh.cell_faces]
+    return np.einsum("cf,cfx->cx", local, _centroid_basis(mesh))

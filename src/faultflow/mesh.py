@@ -91,7 +91,9 @@ def _facet_geometry(facets: np.ndarray, apexes: np.ndarray):
         for q in basis:
             r -= np.einsum("nx,nx->n", r, q)[:, None] * q
         length = np.linalg.norm(r, axis=1)
-        length[length <= GEOM_TOL * np.linalg.norm(v, axis=1)] = 0.0
+        # an overflowed length stays infinite, to be refused as such
+        flat = length <= GEOM_TOL * np.linalg.norm(v, axis=1)
+        length[flat & np.isfinite(length)] = 0.0
         return np.where(length[:, None] > 0, r, 0.0), length
 
     measure = np.ones(len(facets))
@@ -145,6 +147,12 @@ class SimplicialMesh:
             raise MeshError(f"unsupported mesh dimension {dim}")
         self.dim = dim
         self.vertices = _pad3(vertices)
+        infinite = ~np.isfinite(self.vertices).all(axis=1)
+        if infinite.any():
+            raise MeshError(
+                f"vertex {int(np.argmax(infinite))} has a non-finite "
+                "coordinate"
+            )
         self.cells = np.asarray(cells, dtype=np.int64)
         if self.cells.ndim != 2 or self.cells.shape[1] != dim + 1:
             raise MeshError(
@@ -217,15 +225,25 @@ class SimplicialMesh:
 
         V = self.vertices
         cv = V[self.cells]  # (nc, d+1, 3)
-        base, perp = _facet_geometry(cv[:, 1:], cv[:, 0])
-        self.cell_measures = base * np.linalg.norm(perp, axis=1) / d
         apex = V[self.cells.ravel()]  # (nc * (d+1), 3), per slot
         fv = V[self.faces]  # (nf, d, 3)
-        self.face_measures, out = _facet_geometry(fv, apex[first])
-        _, other = _facet_geometry(fv[shared], apex[second])
-        # the height of every slot's apex over its face, owners first
-        heights = np.linalg.norm(np.concatenate([out, other]), axis=1)
+        # finite coordinates can still overflow here; what does is refused
+        with np.errstate(over="ignore", invalid="ignore"):
+            base, perp = _facet_geometry(cv[:, 1:], cv[:, 0])
+            self.cell_measures = base * np.linalg.norm(perp, axis=1) / d
+            self.face_measures, out = _facet_geometry(fv, apex[first])
+            _, other = _facet_geometry(fv[shared], apex[second])
+            # the height of every slot's apex over its face, owners first
+            heights = np.linalg.norm(np.concatenate([out, other]), axis=1)
         slot_cells = np.concatenate([first, second]) // (d + 1)
+        overflow = ~np.isfinite(self.cell_measures)
+        overflow[slot_cells[~np.isfinite(heights)]] = True
+        overflow[first[~np.isfinite(self.face_measures)] // (d + 1)] = True
+        if overflow.any():
+            raise MeshError(
+                f"cell {int(np.argmax(overflow))} is too large: computing "
+                "its measures overflows floating point"
+            )
         # NaN-safe: a NaN measure or height fails the test too
         degenerate = ~(self.cell_measures > 0)
         degenerate[slot_cells[~(heights > 0)]] = True

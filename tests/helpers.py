@@ -16,7 +16,6 @@ keeps the writer honest without a third-party reader.
 import numpy as np
 
 from faultflow.assembly import BoundaryConditions, CoefficientSet
-from faultflow.fem import _bary_weights
 from faultflow.mesh import (
     SIDES,
     MeshError,

@@ -5,11 +5,20 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import faultflow
+from faultflow.assembly import assemble
 from faultflow.cli import main
+from faultflow.linsolve import conservation_residuals, solve_schur
 from faultflow.mesh import build_two_block_geometry, export_mesh
+from faultflow.scenarios import (
+    build_geometry,
+    load_config,
+    resolve_boundary_conditions,
+    resolve_coefficients,
+)
 
 MINI = """
 geometry two_block
@@ -163,6 +172,24 @@ def test_check_mesh_refuses_folded_mesh(tmp_path, capsys):
     assert "domain 'matrix': non-conforming mesh" in err
 
 
+def test_check_mesh_refuses_overflowing_coordinates(tmp_path, capsys):
+    # every coordinate scaled by 1e200: finite, but the measures overflow
+    mesh_path = tmp_path / "huge.msh"
+    export_mesh(build_two_block_geometry(2, 2), mesh_path)
+    lines = [
+        "v " + " ".join(repr(float(t) * 1e200) for t in line.split()[1:])
+        if line.startswith("v ") else line
+        for line in mesh_path.read_text().splitlines()
+    ]
+    mesh_path.write_text("\n".join(lines) + "\n")
+    assert main(["check-mesh", str(mesh_path)]) == 2
+    captured = capsys.readouterr()
+    assert "mesh ok" not in captured.out
+    err = captured.err
+    assert err.startswith("error: ") and err.count("\n") == 1, err
+    assert "is too large" in err
+
+
 # a literal-mode config whose schur solution violates conservation: the
 # damage resistances dwarf the matrix rows, so a norm-wise CG stop leaves
 # residuals of order one in the matrix cells
@@ -182,6 +209,22 @@ bc pressure -3 on layers:y0
 """
 
 
+def worst_matrix_cell(config) -> int:
+    """The matrix cell with the largest conservation residual after the
+    schur solve.  Cells 1 and 6 of UNCONSERVED are mirror images whose
+    residuals differ in the third digit, so which one is worst depends on
+    round-off; the library decides rather than a pinned number."""
+    geometry = build_geometry(config)
+    system = assemble(
+        geometry,
+        resolve_coefficients(config, geometry),
+        resolve_boundary_conditions(config, geometry),
+    )
+    solution, _ = solve_schur(system)
+    residuals = conservation_residuals(system, solution)["matrix"]
+    return int(np.argmax(np.abs(residuals)))
+
+
 def test_solution_failing_conservation_exits_2(tmp_path, capsys):
     path = tmp_path / "unconserved.cfg"
     path.write_text(UNCONSERVED)
@@ -189,7 +232,8 @@ def test_solution_failing_conservation_exits_2(tmp_path, capsys):
     captured = capsys.readouterr()
     err = captured.err
     assert err.startswith("error: ") and err.count("\n") == 1, err
-    assert "conservation check: matrix cell 6 has residual" in err
+    cell = worst_matrix_cell(load_config(path))
+    assert f"conservation check: matrix cell {cell} has residual" in err
     assert "conservation_max" not in captured.out
     assert main(["run", str(path), "--solver", "saddle"]) == 0
     assert "conservation_max" in capsys.readouterr().out

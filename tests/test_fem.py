@@ -3,8 +3,13 @@
 The mass-matrix expectations are frozen from independent integration routes:
 a closed-form 1d integral on the unit interval and adaptive 2d quadrature on
 the unit right triangle, both computed directly from the basis definition
-without going through the barycentric moment formula used by the kernels.
+without any moment formula.  They check the per-cell oracle
+``helpers.rt0_local_mass``, which integrates through the barycentric moment
+formula; the vectorized kernel, which integrates through the centroid basis
+and the second-moment identity, is checked against that oracle cell by cell.
 """
+
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -23,6 +28,17 @@ def unit_interval_mesh():
 def unit_right_triangle_mesh():
     verts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]])
     return SimplicialMesh(2, verts, np.array([[0, 1, 2]]))
+
+
+def unit_cube_tet_mesh():
+    """The unit cube split into six tetrahedra around its main diagonal:
+    one per order in which the path from corner 0 to corner 7 adds x, y
+    and z.  Corner k has coordinates (k & 1, k >> 1 & 1, k >> 2 & 1)."""
+    verts = np.array([[k & 1, k >> 1 & 1, k >> 2 & 1] for k in range(8)],
+                     dtype=float)
+    cells = [np.cumsum([0] + [1 << axis for axis in order])
+             for order in permutations(range(3))]
+    return SimplicialMesh(3, verts, np.array(cells))
 
 
 def basis_on_cell(mesh, cell):
@@ -179,19 +195,33 @@ def test_div_of_constant_field_is_zero():
 
 def test_mass_matrix_matches_local_loop():
     geom = build_two_block_geometry(2, 3)
-    for mesh in (geom.matrix, geom.damage["left"], geom.fault):
-        weights = 2.5
+    cube = unit_cube_tet_mesh()
+    q = np.random.default_rng(20261020).uniform(-1, 1, (cube.n_cells, 3, 3))
+    tensors = q @ q.transpose(0, 2, 1) + 0.5 * np.eye(3)  # SPD per cell
+    cases = [(mesh, 2.5) for mesh in
+             (geom.matrix, geom.damage["left"], geom.fault)]
+    for mesh, weights in cases + [(cube, tensors)]:
         A = rt0_mass_matrix(mesh, weights).toarray()
         dense = np.zeros_like(A)
         for c in range(mesh.n_cells):
             M = rt0_local_mass(
                 mesh.vertices[mesh.cells[c]],
                 mesh.cell_face_signs[c],
-                weights,
+                weights if np.ndim(weights) == 0 else weights[c],
             )
             idx = mesh.cell_faces[c]
             dense[np.ix_(idx, idx)] += M
         assert np.abs(A - dense).max() < 1e-13
+
+
+def test_mass_matrix_keeps_exact_zeros_on_square_grids():
+    # on a right isosceles triangle the hypotenuse face is orthogonal to
+    # both leg faces in the mass inner product; those entries must be 0.0
+    # exactly, since a round-off residue would add fill to the factors
+    mesh = build_two_block_geometry(3, 3).matrix
+    for weights in (1.0, 1.0 / 0.03, np.linspace(0.1, 10.0, mesh.n_cells)):
+        data = rt0_mass_matrix(mesh, weights).data
+        assert np.count_nonzero(data == 0.0) == 4 * mesh.n_cells
 
 
 def test_mass_matrix_spd_on_two_block():

@@ -135,6 +135,23 @@ def test_degenerate_cell_is_refused(dim, vertices):
         SimplicialMesh(dim, np.array(vertices, float), [list(range(dim + 1))])
 
 
+def test_huge_cells_build_or_are_refused_in_one_line():
+    # a well-shaped right triangle: legs of 1e150 measure 5e299, legs of
+    # 1e200 overflow (the suite turns numpy warnings into errors)
+    def triangle(leg):
+        return SimplicialMesh(
+            2, np.array([[leg, 0.0], [0.0, leg], [0.0, 0.0]]), [[0, 1, 2]]
+        )
+
+    assert triangle(1e150).cell_measures[0] == pytest.approx(5e299)
+    with pytest.raises(MeshError, match="cell 0 is too large"):
+        triangle(1e200)
+    with pytest.raises(MeshError, match="cell 0 is too large"):
+        SimplicialMesh(1, [[1.7e308, 0.0], [-1.7e308, 0.0]], [[0, 1]])
+    with pytest.raises(MeshError, match="vertex 1 has a non-finite"):
+        SimplicialMesh(1, [[0.0, 0.0], [np.inf, 0.0]], [[0, 1]])
+
+
 def test_face_on_three_cells_is_refused():
     vertices = [[0, 0], [1, 0], [0, 1], [0, -1], [1, 1]]
     cells = [[0, 1, 2], [0, 1, 3], [0, 1, 4]]

@@ -55,11 +55,12 @@ def snapshot(root: Path, vtk=VTK, csv=CSV) -> Path:
 @pytest.mark.parametrize(
     "vtk,csv,where",
     [
-        (VTK, CSV, None),
+        (VTK, CSV, "no float differs"),
         # round-off: the velocity shares the pressure's scale, the
-        # balance the largest float of its CSV file
+        # balance the largest float of its CSV file; the balance moves
+        # most, by 1.72e-15 against the 2.0 on line 4
         (VTK.replace("1e-17", "3e-17"), CSV.replace("-7.2e-16", "1e-15"),
-         None),
+         "largest 8.6e-16 of block scale at case/summary.csv:3"),
         (VTK.replace("\n0.5\n", "\n0.5000001\n"), CSV, "case/fault.vtk:15"),
         (VTK.replace("2 0 1", "2 1 0"), CSV, "case/fault.vtk:9"),
         (VTK, CSV.replace("25", "26"), "case/summary.csv:2"),
@@ -69,14 +70,17 @@ def snapshot(root: Path, vtk=VTK, csv=CSV) -> Path:
     ],
 )
 def test_compare_snapshots(tmp_path, capsys, vtk, csv, where):
+    # ``where`` is the failing line, or the end of the success report
     before = snapshot(tmp_path / "before")
     after = snapshot(tmp_path / "after", vtk, csv)
     code = compare_snapshots.main([str(before), str(after)])
-    if where is None:
-        assert code == 0
-    else:
+    out, err = capsys.readouterr()
+    if where.startswith("case/"):
         assert code == 1
-        assert capsys.readouterr().err.startswith(where + ":")
+        assert err.startswith(where + ":")
+    else:
+        assert code == 0
+        assert out == f"2 files match within 1e-12 per block; {where}\n"
 
 
 def test_compare_snapshots_names_a_missing_file(tmp_path, capsys):

@@ -15,8 +15,9 @@ section with all its arrays.  The arrays of one data section share a
 scale, so a field that is zero up to round-off (the fault velocity of a
 symmetric case) is measured against the pressures next to it.
 
-Exits 0 when every file matches and 1 at the first file and line that
-does not, which it names.
+Exits 0 when every file matches, and then prints the largest difference
+relative to its block's scale and the file and line where it occurs.
+Exits 1 at the first file and line that does not match, which it names.
 """
 
 import re
@@ -61,30 +62,36 @@ def _scales(blocks: list[int], *snapshots: list[list[str]]) -> dict:
     return scale
 
 
-def compare_file(rel: Path, before: Path, after: Path) -> str | None:
-    """None when the two files match, else a message naming the first
-    line that does not."""
+def compare_file(rel: Path, before: Path, after: Path):
+    """Compare one file of the two snapshots.  Returns (message, largest):
+    the message names the first line that does not match (None when all
+    do), and largest is (difference relative to its block's scale, line
+    number) of the float that moved most before that line."""
     old = [SEPARATOR.split(line) for line in before.read_text().splitlines()]
     new = [SEPARATOR.split(line) for line in after.read_text().splitlines()]
+    largest = (0.0, 0)
     if len(old) != len(new):
         line = min(len(old), len(new)) + 1
-        return f"{rel}:{line}: {len(old)} lines before, {len(new)} after"
+        message = f"{rel}:{line}: {len(old)} lines before, {len(new)} after"
+        return message, largest
     blocks = _blocks(rel, old)
     scale = _scales(blocks, old, new)
     for number, (block, a, b) in enumerate(zip(blocks, old, new), start=1):
         if len(a) != len(b) or a[1::2] != b[1::2]:
-            return f"{rel}:{number}: the token layout differs"
+            return f"{rel}:{number}: the token layout differs", largest
         for x, y in zip(a[::2], b[::2]):
             fx, fy = _as_float(x), _as_float(y)
             if fx is None or fy is None:
                 if x != y:
-                    return f"{rel}:{number}: {x!r} != {y!r}"
+                    return f"{rel}:{number}: {x!r} != {y!r}", largest
             elif abs(fx - fy) > RTOL * scale[block]:
                 return (
                     f"{rel}:{number}: {x} vs {y} differ by "
                     f"{abs(fx - fy):.3g}, above {RTOL:g} x {scale[block]:.3g}"
-                )
-    return None
+                ), largest
+            elif fx != fy:
+                largest = max(largest, (abs(fx - fy) / scale[block], number))
+    return None, largest
 
 
 def main(argv=None) -> int:
@@ -102,12 +109,21 @@ def main(argv=None) -> int:
         side = "AFTER" if missing[0] in files[0] else "BEFORE"
         print(f"{missing[0]}: missing from {side}", file=sys.stderr)
         return 1
+    largest = (0.0, "")
     for rel in files[0]:
-        message = compare_file(rel, before / rel, after / rel)
+        message, (relative, line) = compare_file(
+            rel, before / rel, after / rel
+        )
         if message:
             print(message, file=sys.stderr)
             return 1
-    print(f"{len(files[0])} files match within {RTOL:g} per block")
+        largest = max(largest, (relative, f"{rel}:{line}"))
+    relative, where = largest
+    print(
+        f"{len(files[0])} files match within {RTOL:g} per block; "
+        + (f"largest {relative:.2g} of block scale at {where}"
+           if relative else "no float differs")
+    )
     return 0
 
 
