@@ -29,6 +29,12 @@ assembled.  ``BlockSystem.offsets`` is its one layout table, built from
 ``exchange_<side>_flux`` per side, then ``<domain>_pressure`` per domain.
 The resistances of ``CoefficientSet.resist`` and the sources of
 ``assemble`` are keyed by the same domain names.
+
+``local_entries`` writes the same F and C as one table of local fluxes
+per cell (``LocalEntries``), the form the hybridized solve eliminates cell
+by cell: a damage cell carries its paired matrix face and its exchange dof
+as two resistors next to its own faces, and the fault cell both exchange
+dofs, each exchange resistance split in halves between the two cells.
 """
 
 from __future__ import annotations
@@ -42,6 +48,7 @@ from .fem import (
     _finite_per_cell,
     _per_cell,
     rt0_div_matrix,
+    rt0_local_blocks,
     rt0_mass_matrix,
 )
 from .mesh import SIDES, MeshError, MixedDimGeometry, SimplicialMesh
@@ -50,8 +57,11 @@ __all__ = [
     "CoefficientSet",
     "BoundaryConditions",
     "BlockSystem",
+    "LocalEntries",
     "coefficients_from_mode",
     "assemble",
+    "rt0_entries",
+    "local_entries",
 ]
 
 
@@ -268,6 +278,108 @@ class BlockSystem:
 def _saddle_matrix(F, C) -> sps.csr_array:
     """The symmetric operator [[F, C], [C', 0]]."""
     return sps.bmat([[F, C], [C.T, None]], format="csr")
+
+
+@dataclass
+class LocalEntries:
+    """One domain's rows of the table of local fluxes.  Local flux j of
+    cell k is ``sigma[k, j]`` times the global flux dof ``dofs[k, j]``,
+    taken out of the cell; ``mass[k]`` is the cell's symmetric positive
+    definite local resistance, and ``cells[k]`` its pressure unknown (an
+    index into p).  Scattering (sigma sigma') o mass onto (dof, dof) over
+    every domain gives F, and -sigma onto (dof, cell) gives C, before
+    essential elimination."""
+
+    dofs: np.ndarray  # (n, m) int
+    sigma: np.ndarray  # (n, m)
+    mass: np.ndarray  # (n, m, m)
+    cells: np.ndarray  # (n,) int
+
+
+def rt0_entries(
+    mesh: SimplicialMesh, resist, first_dof: int = 0, first_cell: int = 0
+) -> LocalEntries:
+    """The faces of every cell of ``mesh``: orientation signs, and the
+    RT0 local blocks of ``resist`` in outward form."""
+    signs = mesh.cell_face_signs.astype(float)
+    return LocalEntries(
+        dofs=mesh.cell_faces + first_dof,
+        sigma=signs,
+        mass=signs[:, :, None]
+        * signs[:, None, :]
+        * rt0_local_blocks(mesh, resist),
+        cells=np.arange(mesh.n_cells) + first_cell,
+    )
+
+
+def _with_resistors(entries: LocalEntries, dofs, sigma, resist):
+    """``entries`` with one more local flux per column of ``dofs``, each
+    a resistor of its own: one more diagonal entry of the local mass."""
+    n, m = entries.dofs.shape
+    k = dofs.shape[1]
+    mass = np.zeros((n, m + k, m + k))
+    mass[:, :m, :m] = entries.mass
+    extra = np.arange(m, m + k)
+    mass[:, extra, extra] = resist
+    return LocalEntries(
+        dofs=np.hstack([entries.dofs, dofs]),
+        sigma=np.hstack([entries.sigma, sigma]),
+        mass=mass,
+        cells=entries.cells,
+    )
+
+
+def local_entries(system: BlockSystem) -> list[LocalEntries]:
+    """The table of local fluxes of ``system``, one ``LocalEntries`` per
+    domain: the RT0 faces of each cell, and in a damage cell its paired
+    matrix face (sigma -1, resistance r_md / |F|) and its exchange dof
+    (sigma |fault cell|, resistance R / (2 |fault cell|)); in a fault cell
+    both exchange dofs (sigma -|fault cell|, the other halves)."""
+    geometry, coeff, offsets = (
+        system.geometry,
+        system.coefficients,
+        system.offsets,
+    )
+    n_flux = system.F.shape[0]
+    table = {
+        dom: rt0_entries(
+            mesh,
+            coeff.resist[dom],
+            offsets[f"{dom}_flux"].start,
+            offsets[f"{dom}_pressure"].start - n_flux,
+        )
+        for dom, mesh in geometry.domains.items()
+    }
+    fault = geometry.fault
+    measure = fault.cell_measures
+    exchange = {
+        s: offsets[f"exchange_{s}_flux"].start + np.arange(fault.n_cells)
+        for s in SIDES
+    }
+    half = {s: coeff.damage_fault_resist[s] / (2 * measure) for s in SIDES}
+    for side in SIDES:
+        faces, cells = geometry.matrix_damage[side].pairs.T
+        face = np.empty_like(faces)
+        face[cells] = faces
+        robin = np.empty(fault.n_cells)
+        robin[cells] = (
+            coeff.matrix_damage_resist[side]
+            / geometry.matrix.face_measures[faces]
+        )
+        dom = f"damage_{side}"
+        table[dom] = _with_resistors(
+            table[dom],
+            np.column_stack([face, exchange[side]]),
+            np.column_stack([-np.ones(fault.n_cells), measure]),
+            np.column_stack([robin, half[side]]),
+        )
+    table["fault"] = _with_resistors(
+        table["fault"],
+        np.column_stack([exchange[s] for s in SIDES]),
+        np.column_stack([-measure for _ in SIDES]),
+        np.column_stack([half[s] for s in SIDES]),
+    )
+    return list(table.values())
 
 
 def assemble(

@@ -18,9 +18,10 @@ from .assembly import (
     _essential_flux_values,
     _saddle_matrix,
     _weak_pressure_load,
+    rt0_entries,
 )
 from .fem import rt0_div_matrix, rt0_mass_matrix
-from .linsolve import _direct_solve
+from .linsolve import _direct_solve, _hybrid_solver
 from .mesh import MeshError, SimplicialMesh
 
 __all__ = [
@@ -45,7 +46,9 @@ def solve_equidim(
 
     ``pressure_bc`` maps boundary faces to weakly imposed pressures;
     ``flux_bc`` maps boundary faces to outward flux densities, eliminated
-    essentially; unlisted boundary faces are zero-flux.  Raises
+    essentially; unlisted boundary faces are zero-flux.  The solve is the
+    one-domain case of the coupled saddle route: the hybridized solve of
+    the mesh's RT0 faces, refined against the full operator.  Raises
     SolverError when the direct solve fails.
     """
     pressure_bc = pressure_bc or {}
@@ -71,7 +74,10 @@ def solve_equidim(
     g = _weak_pressure_load(mesh, pressure_bc)
     fixed = _essential_flux_values(mesh, boundary, pressure_bc, flux_bc)
     F, C, g, f = _eliminate_field(F, C, g, np.zeros(mesh.n_cells), fixed)
-    x = _direct_solve(F, C, g, f, _saddle_matrix(F, C))
+    solve = _hybrid_solver(
+        [rt0_entries(mesh, resist)], ~np.isnan(fixed), mesh.n_cells
+    )
+    x = _direct_solve(solve, np.concatenate([g, f]), _saddle_matrix(F, C))
     return EquiDimSolution(
         flux=x[: mesh.n_faces], pressure=x[mesh.n_faces :]
     )

@@ -28,6 +28,7 @@ import scipy.sparse as sps
 from .mesh import MeshError, SimplicialMesh
 
 __all__ = [
+    "rt0_local_blocks",
     "rt0_mass_matrix",
     "rt0_div_matrix",
     "rt0_eval_centroids",
@@ -68,11 +69,9 @@ def _per_cell(values, n: int, what: str, tensors: bool = False):
     return arr
 
 
-def rt0_mass_matrix(mesh: SimplicialMesh, weights) -> sps.csr_array:
-    """Weighted flux mass matrix of a whole mesh (faces x faces): the sum
-    over cells of int_K (W zeta_i) . zeta_j, all cells at once.  The tests
-    cross-check it against a per-cell oracle.
-    """
+def rt0_local_blocks(mesh: SimplicialMesh, weights) -> np.ndarray:
+    """The local blocks int_K (W zeta_i) . zeta_j of every cell,
+    (n_cells, d+1, d+1), in the cell's local face order."""
     W = _per_cell(weights, mesh.n_cells, "weight", tensors=True)
     if W.ndim == 1:
         W = W[:, None, None] * np.eye(3)
@@ -87,6 +86,16 @@ def rt0_mass_matrix(mesh: SimplicialMesh, weights) -> sps.csr_array:
     # sparse products would keep it, and the factors would fill in.
     M[np.abs(M) <= 16 * np.finfo(float).eps * second[:, None, None]] = 0.0
     M *= mesh.cell_measures[:, None, None]
+    return M
+
+
+def rt0_mass_matrix(mesh: SimplicialMesh, weights) -> sps.csr_array:
+    """Weighted flux mass matrix of a whole mesh (faces x faces): the
+    local blocks of ``rt0_local_blocks`` summed over cells.  The tests
+    cross-check it against a per-cell oracle.
+    """
+    M = rt0_local_blocks(mesh, weights)
+    n1 = mesh.dim + 1
     rows = np.repeat(mesh.cell_faces, n1, axis=1).ravel()
     cols = np.tile(mesh.cell_faces, n1).ravel()
     return sps.coo_array(

@@ -4,12 +4,12 @@ The assembled system is the saddle-point problem [[F, C], [C', 0]] of
 ``BlockSystem``, with F block-diagonal and symmetric positive definite.
 Two routes lead to the same solution:
 
-- ``solve_saddle`` factors the symmetric quasi-definite neighbour
-  [[F, C], [C', -delta S_L]] of the operator, with S_L = C' diag(F)^-1 C
-  the lumped Schur complement, under the same no-pivot symmetric ordering
-  as F below, and refines the solution against the exact operator.  The
-  indefinite operator itself would need a pivoting LU with several times
-  the fill.
+- ``solve_saddle`` hybridizes the mixed method (Arnold & Brezzi 1985):
+  it eliminates every cell's local fluxes and pressure against one
+  multiplier per shared flux dof (``local_entries`` writes F and C cell
+  by cell), factors the symmetric positive definite system of those
+  multipliers under a no-pivot symmetric ordering, and refines the
+  solution against the exact operator.  No [u; p] matrix is factored.
 - ``solve_schur`` eliminates every flux unknown.  That leaves the pressure
   system
 
@@ -36,7 +36,7 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .assembly import SIDES, BlockSystem
+from .assembly import SIDES, BlockSystem, LocalEntries, local_entries
 from .fem import rt0_eval_centroids
 
 __all__ = [
@@ -80,9 +80,6 @@ def _require_anchor(system: BlockSystem) -> None:
         )
 
 
-# weight of the lumped complement in the pressure block of the factored
-# quasi-definite matrix (see ``_direct_solve``)
-_DELTA = 1e-10
 _REFINE_STEPS = 10
 # largest last correction, relative to max|x|, of a converged refinement:
 # half the digits of double precision.  Converged solves end at 1e-16 to
@@ -95,9 +92,9 @@ _REFINE_TOL = 1e-8
 def _symmetric_lu(A) -> spla.SuperLU:
     """Factor ``A`` without pivoting after a symmetric minimum-degree
     ordering of A' + A.  Every symmetric permutation of a symmetric
-    positive definite or quasi-definite matrix has an LDL' factor, so
-    diagonal pivots are safe, and the symmetric ordering keeps the factor
-    far sparser than the default COLAMD."""
+    positive definite matrix has an LDL' factor, so diagonal pivots are
+    safe, and the symmetric ordering keeps the factor far sparser than
+    the default COLAMD."""
     return spla.splu(
         A.tocsc(),
         permc_spec="MMD_AT_PLUS_A",
@@ -113,45 +110,156 @@ def _lumped_complement(F, C) -> sps.sparray:
     return C.T @ sps.diags_array(1.0 / F.diagonal()) @ C
 
 
-def _direct_solve(F, C, g, f, K) -> np.ndarray:
-    """Solve [[F, C], [C', 0]] [u; p] = [g; f], the exact operator ``K``.
+def _hybrid_solver(table: list[LocalEntries], fixed: np.ndarray, n_cells):
+    """Factor the hybridized form of the system whose F and C the table of
+    local fluxes ``table`` writes, with the flux dofs ``fixed`` eliminated
+    (unit rows), and return its solve: r = [r_u; r_p] -> [u; p].
 
-    The zero pressure block makes K indefinite, and a sparse LU of K must
-    pivot, which rules out a symmetric fill-reducing ordering.  So the
-    factored matrix is the symmetric quasi-definite
+    Every local flux of cell K gets its own unknown u~ (outward), and
+    every flux dof shared by two entries a multiplier lambda, the pressure
+    trace on the face.  Cell K's equations are
 
-        [[F, C], [C', -_DELTA S_L]],    S_L = C' diag(F)^-1 C,
+        M u~ - p 1 + lambda = g~,    1' u~ = -r_p,
 
-    which has an LDL' factor under every symmetric permutation
-    (Vanderbei 1995) and takes the no-pivot symmetric ordering of
-    ``_symmetric_lu``.  The solution is then refined against K itself
-    until the correction reaches round-off or stops halving, at most
-    ``_REFINE_STEPS`` times.  The first solve is off by about
-    eps / _DELTA, and each step contracts the pressure error by
-    _DELTA mu / (1 + _DELTA mu), with mu over the spectrum of S^-1 S_L
-    (S = C' F^-1 C, the exact complement).  For the whole S_L that
-    spectrum is bounded by the mass-lumping constants, not by the
-    coefficient contrast.  The diagonal of S_L alone gives a sparser
-    factor but no such bound: on a literal-mode fault case it contracted
-    only about 0.3 per step.
+    with M its local resistance and g~ the flux-row residual of each dof,
+    divided by sigma, on one of its entries.  An eliminated entry carries
+    no flux and leaves the cell's problem (its row is the identity in K);
+    a weak-pressure face, the one other kind of unshared dof, has lambda
+    0, its data being in g already.  With a = M^-1 1, s = 1' a, w = a / s
+    and B = M^-1 - a w' (a w', not a a' / s, which overflows first), the
+    cell gives
 
-    Raises SolverError when the factorization fails, the result is not
-    finite or the last correction is above ``_REFINE_TOL`` max|x|.
+        p = -r_p / s - w' (g~ - lambda),    u~ = B (g~ - lambda) - w r_p,
+
+    so lambda solves one symmetric positive definite system
+
+        H lambda = sum_K scatter(B g~ - w r_p),    H = sum_K scatter(B),
+
+    whose rows state that the two local fluxes of a shared dof cancel
+    (they have opposite sigma).  B 1 = 0, and the diagonal of B is
+    formed as the negated sum of the rest of its row so that this holds
+    in floating point too: a block of low resistance that reaches its
+    pressure data only through high resistances then keeps its level
+    (the near-null mode of H) to round-off.  Each flux is read from its
+    stiffest entry, the largest sigma^2 / (M^-1)_ee, where the local
+    difference loses the fewest digits; an eliminated dof takes its
+    residual.
+
+    The local steps run without floating-point warnings; a local inverse
+    that is singular or not finite is a SolverError, and so is a failed
+    factorization of H.
     """
-    S = _lumped_complement(F, C)
-    b = np.concatenate([g, f])
+    n_flux = len(fixed)
+    dofs = np.concatenate([t.dofs.ravel() for t in table])
+    node = np.bincount(dofs, minlength=n_flux) > 1
+    n_nodes = int(np.count_nonzero(node))
+    index = np.full(n_flux, -1)
+    index[node] = np.arange(n_nodes)
+
+    local, stiffness = [], []
+    with np.errstate(all="ignore"):
+        for t in table:
+            free = (~fixed[t.dofs]).astype(float)
+            pairs = free[:, :, None] * free[:, None, :]
+            # an eliminated entry keeps a unit diagonal coupled to nothing
+            mass = t.mass * pairs
+            entries = np.arange(mass.shape[1])
+            mass[:, entries, entries] += 1.0 - free
+            try:
+                Minv = np.linalg.inv(mass)
+            except np.linalg.LinAlgError as exc:
+                raise SolverError(f"local elimination failed: {exc}") from exc
+            a = (Minv @ free[:, :, None])[..., 0]
+            s = a.sum(axis=1)
+            w = a / s[:, None]
+            B = (Minv - a[:, :, None] * w[:, None, :]) * pairs
+            B[:, entries, entries] = 0.0
+            B[:, entries, entries] = -B.sum(axis=2)
+            v = -1.0 / s
+            if not all(np.all(np.isfinite(x)) for x in (B, w, v)):
+                raise SolverError(
+                    "local elimination produced non-finite values"
+                )
+            local.append((t, B, w, v))
+            stiffness.append(
+                (t.sigma**2 / np.diagonal(Minv, axis1=1, axis2=2)).ravel()
+            )
+    # the stiffest entry of each free dof, as a mask over each domain's
+    # entries: it takes the dof's residual and gives back its flux
+    order = np.lexsort((-np.concatenate(stiffness), dofs))
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = dofs[order[1:]] != dofs[order[:-1]]
+    pick = np.zeros(len(dofs), dtype=bool)
+    pick[order[first]] = True
+    picks = np.split(pick, np.cumsum([t.dofs.size for t in table])[:-1])
+    local = [
+        (t, B, w, v, pick.reshape(t.dofs.shape) & ~fixed[t.dofs])
+        for (t, B, w, v), pick in zip(local, picks)
+    ]
+
+    rows, cols, vals = [], [], []
+    for t, B, *_ in local:
+        i = index[t.dofs]
+        both = (i[:, :, None] >= 0) & (i[:, None, :] >= 0)
+        rows.append(np.broadcast_to(i[:, :, None], B.shape)[both])
+        cols.append(np.broadcast_to(i[:, None, :], B.shape)[both])
+        vals.append(B[both])
+    H = sps.coo_array(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(n_nodes, n_nodes),
+    )
     try:
-        lu = _symmetric_lu(
-            sps.bmat([[F, C], [C.T, -_DELTA * S]], format="csc")
-        )
-        x = lu.solve(b)
+        lu = _symmetric_lu(H)
     except RuntimeError as exc:
         raise SolverError(f"direct factorization failed: {exc}") from exc
+
+    def solve(r: np.ndarray) -> np.ndarray:
+        r_u, r_p = r[:n_flux], r[n_flux:]
+        rhs = np.zeros(n_nodes)
+        loads = []
+        with np.errstate(all="ignore"):
+            for t, B, w, v, pick in local:
+                g = np.where(pick, r_u[t.dofs] / t.sigma, 0.0)
+                q = r_p[t.cells]
+                load = (B @ g[:, :, None])[..., 0] - w * q[:, None]
+                i = index[t.dofs]
+                rhs += np.bincount(
+                    i[i >= 0], weights=load[i >= 0], minlength=n_nodes
+                )
+                loads.append((g, q))
+            lam = np.zeros(n_flux)
+            lam[node] = lu.solve(rhs)
+            x = np.empty(n_flux + n_cells)
+            u, p = x[:n_flux], x[n_flux:]
+            for (t, B, w, v, pick), (g, q) in zip(local, loads):
+                d = g - lam[t.dofs]
+                p[t.cells] = v * q - np.sum(w * d, axis=1)
+                flux = (B @ d[:, :, None])[..., 0] - w * q[:, None]
+                u[t.dofs[pick]] = flux[pick] / t.sigma[pick]
+        u[fixed] = r_u[fixed]
+        return x
+
+    return solve
+
+
+def _direct_solve(solve, b, K) -> np.ndarray:
+    """Solve K x = b, with K = [[F, C], [C', 0]] the exact operator and
+    ``solve`` the hybridized solve of ``_hybrid_solver``.  The first
+    solve, of b itself, is refined against K, with the hybridized solve
+    of the residual as the correction, until the correction reaches
+    round-off or stops halving, at most ``_REFINE_STEPS`` times.  The
+    hybridized solve is exact but for round-off, so two or three steps
+    take it to the accuracy of K's own rows.
+
+    Raises SolverError when the result is not finite or the last
+    correction is above ``_REFINE_TOL`` max|x|.
+    """
+    x = solve(b)
     if not np.all(np.isfinite(x)):
         raise SolverError("direct solve produced non-finite values")
     previous = np.inf
     for _ in range(_REFINE_STEPS):
-        dx = lu.solve(b - K @ x)
+        dx = solve(b - K @ x)
         x += dx
         step, size = np.max(np.abs(dx)), np.max(np.abs(x))
         if step <= np.finfo(float).eps * size or step > 0.5 * previous:
@@ -198,12 +306,16 @@ class MixedSolution:
 
 
 def solve_saddle(system: BlockSystem) -> MixedSolution:
-    """Solve the full operator directly (``_direct_solve``).  Raises
-    SolverError when some pressure is not anchored, the factorization
-    fails, the result is not finite or the refinement does not
-    converge."""
+    """Solve the full operator directly: the hybridized solve of the
+    table of local fluxes (``_hybrid_solver``), refined against K
+    (``_direct_solve``).  Raises SolverError when some pressure is not
+    anchored, a local elimination or the factorization fails, the result
+    is not finite or the refinement does not converge."""
     _require_anchor(system)
-    x = _direct_solve(system.F, system.C, system.g, system.f, system.matrix)
+    fixed = np.zeros(system.F.shape[0], dtype=bool)
+    fixed[list(system.eliminated)] = True
+    solve = _hybrid_solver(local_entries(system), fixed, system.C.shape[1])
+    x = _direct_solve(solve, system.rhs, system.matrix)
     return MixedSolution.from_vector(system, x)
 
 

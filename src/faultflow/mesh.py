@@ -71,6 +71,16 @@ def _pad3(vertices: np.ndarray) -> np.ndarray:
     return out
 
 
+def _norm(v: np.ndarray) -> np.ndarray:
+    """Length of each row of ``v``, taken of the row scaled by the power
+    of two of its largest component, so that no square overflows: finite
+    wherever the length itself is, infinite where a component is.  The
+    scaling is exact, so a length that did not overflow is unchanged."""
+    _, exponent = np.frexp(np.max(np.abs(v), axis=1))
+    scaled = np.ldexp(v, -exponent[:, None])
+    return np.ldexp(np.linalg.norm(scaled, axis=1), exponent)
+
+
 def _facet_geometry(facets: np.ndarray, apexes: np.ndarray):
     """Measure of each facet and its perpendicular from an opposite vertex.
 
@@ -90,9 +100,9 @@ def _facet_geometry(facets: np.ndarray, apexes: np.ndarray):
         r = v.copy()
         for q in basis:
             r -= np.einsum("nx,nx->n", r, q)[:, None] * q
-        length = np.linalg.norm(r, axis=1)
+        length = _norm(r)
         # an overflowed length stays infinite, to be refused as such
-        flat = length <= GEOM_TOL * np.linalg.norm(v, axis=1)
+        flat = length <= GEOM_TOL * _norm(v)
         length[flat & np.isfinite(length)] = 0.0
         return np.where(length[:, None] > 0, r, 0.0), length
 
@@ -230,11 +240,11 @@ class SimplicialMesh:
         # finite coordinates can still overflow here; what does is refused
         with np.errstate(over="ignore", invalid="ignore"):
             base, perp = _facet_geometry(cv[:, 1:], cv[:, 0])
-            self.cell_measures = base * np.linalg.norm(perp, axis=1) / d
+            self.cell_measures = base * _norm(perp) / d
             self.face_measures, out = _facet_geometry(fv, apex[first])
             _, other = _facet_geometry(fv[shared], apex[second])
             # the height of every slot's apex over its face, owners first
-            heights = np.linalg.norm(np.concatenate([out, other]), axis=1)
+            heights = _norm(np.concatenate([out, other]))
         slot_cells = np.concatenate([first, second]) // (d + 1)
         overflow = ~np.isfinite(self.cell_measures)
         overflow[slot_cells[~np.isfinite(heights)]] = True

@@ -736,7 +736,10 @@ def _release_free_heap() -> None:
     near the top keeps it from ever doing so; the next factorization then
     grows the heap past memory that is free but resident.  Without the
     release, the peak memory of a sweep row depends on where earlier rows
-    happened to leave their blocks."""
+    happened to leave their blocks.  Still needed with the hybridized
+    saddle solve: made a no-op, it raised the benchmark's peak RSS from
+    99-101 to 109-125 MB (run2d), from 155 to 174-176 MB (fault3d) and
+    from 114 to 116 MB (sweep) on a 2-vCPU host."""
     if _malloc_trim is not None:
         _malloc_trim(0)
 

@@ -8,6 +8,9 @@ elimination done densely on the composed matrix.  Everything must agree to
 1e-12.
 """
 
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.sparse as sps
@@ -21,6 +24,7 @@ from faultflow.assembly import (
     CoefficientSet,
     assemble,
     coefficients_from_mode,
+    local_entries,
 )
 from faultflow.linsolve import (
     conservation_residuals,
@@ -33,6 +37,12 @@ from faultflow.mesh import (
     MeshError,
     MixedDimGeometry,
     build_two_block_geometry,
+)
+from faultflow.scenarios import (
+    bundled_config,
+    load_config,
+    resolve_boundary_conditions,
+    resolve_coefficients,
 )
 from helpers import series_setup, series_solution_vector
 
@@ -709,3 +719,84 @@ def test_eliminated_dofs_record_imposed_values():
     assert len(system.eliminated) == n_external - len(
         geometry.matrix.faces_with_tag("left")
     )
+
+
+# ---------------------------------------------------------------------------
+# the table of local fluxes
+# ---------------------------------------------------------------------------
+
+
+def scatter_table(system):
+    """F and C written from ``local_entries``: (sigma sigma') o mass onto
+    (dof, dof) and -sigma onto (dof, cell), with the eliminated dofs
+    reduced to unit rows and columns as ``assemble`` does."""
+    n_flux, n_cells = system.C.shape
+    F = np.zeros((n_flux, n_flux))
+    C = np.zeros((n_flux, n_cells))
+    for t in local_entries(system):
+        local = t.sigma[:, :, None] * t.sigma[:, None, :] * t.mass
+        np.add.at(F, (t.dofs[:, :, None], t.dofs[:, None, :]), local)
+        np.add.at(C, (t.dofs, t.cells[:, None]), -t.sigma)
+    fixed = list(system.eliminated)
+    F[fixed, :] = 0.0
+    F[:, fixed] = 0.0
+    F[fixed, fixed] = 1.0
+    C[fixed, :] = 0.0
+    return F, C
+
+
+def fault3d_system(n_x, n_y):
+    """A coarse version of the bundled 3D scenario."""
+    spec = importlib.util.spec_from_file_location(
+        "make_fault3d_mesh",
+        Path(__file__).resolve().parents[1] / "tools" / "make_fault3d_mesh.py",
+    )
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    geometry = tool.build_geometry(n_x, n_y)
+    config = load_config(bundled_config("fault3d"))
+    return assemble(
+        geometry,
+        resolve_coefficients(config, geometry),
+        resolve_boundary_conditions(config, geometry),
+    )
+
+
+def two_block_system(mode):
+    """A 3x4 two-block grid with per-cell conductivities over six
+    decades, pressure and flux data on the matrix and flux data on the
+    layers; ``mode`` "tensor" gives the matrix anisotropic tensors."""
+    geometry = build_two_block_geometry(3, 4)
+    rng = np.random.default_rng(7)
+    k = {
+        dom: 10.0 ** rng.uniform(-3, 3, mesh.n_cells)
+        for dom, mesh in geometry.domains.items()
+    }
+    if mode == "tensor":
+        coeff = coefficients_from_mode(geometry, k, "permeability", 1e-2, 1e-3)
+        rotation, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+        stretch = np.diag([1.0, 30.0, 1.0])
+        coeff.resist["matrix"] = (
+            coeff.resist["matrix"][:, None, None]
+            * (rotation @ stretch @ rotation.T)
+        )
+    else:
+        coeff = coefficients_from_mode(geometry, k, mode, 1e-2, 1e-3)
+    bc = BoundaryConditions()
+    for f in geometry.matrix.faces_with_tag("left"):
+        bc.pressure[("matrix", int(f))] = 1.0
+    for f in geometry.matrix.faces_with_tag("right"):
+        bc.flux[("matrix", int(f))] = -0.5
+    for f in geometry.fault.faces_with_tag("y0"):
+        bc.flux[("fault", int(f))] = 0.25
+        bc.pressure[("damage_left", int(f))] = 2.0
+    return assemble(geometry, coeff, bc)
+
+
+@pytest.mark.parametrize("mode", ["literal", "permeability", "tensor", "3d"])
+def test_local_entries_scatter_to_the_assembled_blocks(mode):
+    system = fault3d_system(3, 2) if mode == "3d" else two_block_system(mode)
+    F, C = scatter_table(system)
+    assembled = system.F.toarray()
+    assert np.all(np.abs(F - assembled) <= 1e-15 * np.abs(assembled))
+    assert np.array_equal(C, system.C.toarray())

@@ -102,9 +102,9 @@ def test_high_contrast_strips_match_dense_solve(monkeypatch):
     # system
     systems = []
 
-    def spy(F, C, g, f, K):
-        systems.append((K, np.concatenate([g, f])))
-        return _direct_solve(F, C, g, f, K)
+    def spy(solve, b, K):
+        systems.append((K, b))
+        return _direct_solve(solve, b, K)
 
     monkeypatch.setattr(equidim, "_direct_solve", spy)
     mesh = build_layered_equidim_mesh(0.2, 0.1, eta=0.05, eta_coarse=0.25)

@@ -137,7 +137,8 @@ def test_degenerate_cell_is_refused(dim, vertices):
 
 def test_huge_cells_build_or_are_refused_in_one_line():
     # a well-shaped right triangle: legs of 1e150 measure 5e299, legs of
-    # 1e200 overflow (the suite turns numpy warnings into errors)
+    # 1e200 overflow (the suite turns numpy warnings into errors); a
+    # segment's length is taken without squaring it
     def triangle(leg):
         return SimplicialMesh(
             2, np.array([[leg, 0.0], [0.0, leg], [0.0, 0.0]]), [[0, 1, 2]]
@@ -146,6 +147,8 @@ def test_huge_cells_build_or_are_refused_in_one_line():
     assert triangle(1e150).cell_measures[0] == pytest.approx(5e299)
     with pytest.raises(MeshError, match="cell 0 is too large"):
         triangle(1e200)
+    segment = SimplicialMesh(1, [[0.0, 0.0], [1e160, 0.0]], [[0, 1]])
+    assert segment.cell_measures[0] == 1e160
     with pytest.raises(MeshError, match="cell 0 is too large"):
         SimplicialMesh(1, [[1.7e308, 0.0], [-1.7e308, 0.0]], [[0, 1]])
     with pytest.raises(MeshError, match="vertex 1 has a non-finite"):
