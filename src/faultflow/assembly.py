@@ -12,16 +12,25 @@ holds one dof per (side, fault cell), left block first: the normal Darcy
 velocity leaving the damage layer of its side and entering the fault,
 constant per fault cell.
 
-F is block-diagonal: the weighted flux mass matrix of each domain (the
-matrix one augmented by the Robin penalty of the matrix/damage interface)
-and the diagonal exchange resistance.  C holds -div of every domain, the
-matrix/damage coupling in the rows of the interface faces and the two
-exchange couplings in the exchange rows, so the pressure rows C'u = f are
-the negated conservation statements of each domain: the damage rows add
-the matrix inflow and subtract the exchange outflow, the fault rows add the
-exchange inflow from both sides.  Essential (flux) boundary data is imposed
-by symmetric elimination: unit diagonal rows with right-hand-side fixups,
-so symmetry survives.
+One table of local fluxes writes the coupled operator, one
+``LocalEntries`` per domain: every cell's local fluxes (its RT0 faces, and
+in a damage cell its paired matrix face and its exchange dof as two
+resistors next to them; in a fault cell both exchange dofs, each exchange
+resistance split in halves between the two cells), their orientation
+signs sigma, the cell's local resistance M and its pressure unknown.
+``assemble`` builds the table once and keeps it on ``BlockSystem``; F is
+(sigma sigma') o M scattered onto (dof, dof) and C is -sigma scattered
+onto (dof, cell).  So F is block-diagonal: the weighted flux mass matrix
+of each domain (the matrix one augmented by the Robin resistance of the
+matrix/damage interface on the paired faces) and the diagonal exchange
+resistance.  C holds -div of every domain, the matrix/damage coupling in
+the rows of the interface faces and the two exchange couplings in the
+exchange rows, so the pressure rows C'u = f are the negated conservation
+statements of each domain: the damage rows add the matrix inflow and
+subtract the exchange outflow, the fault rows add the exchange inflow
+from both sides.  The hybridized solve eliminates the same table cell by
+cell.  Essential (flux) boundary data is imposed by symmetric elimination:
+unit diagonal rows with right-hand-side fixups, so symmetry survives.
 
 The global unknown vector is [u; p], in the order in which F and C are
 assembled.  ``BlockSystem.offsets`` is its one layout table, built from
@@ -29,12 +38,6 @@ assembled.  ``BlockSystem.offsets`` is its one layout table, built from
 ``exchange_<side>_flux`` per side, then ``<domain>_pressure`` per domain.
 The resistances of ``CoefficientSet.resist`` and the sources of
 ``assemble`` are keyed by the same domain names.
-
-``local_entries`` writes the same F and C as one table of local fluxes
-per cell (``LocalEntries``), the form the hybridized solve eliminates cell
-by cell: a damage cell carries its paired matrix face and its exchange dof
-as two resistors next to its own faces, and the fault cell both exchange
-dofs, each exchange resistance split in halves between the two cells.
 """
 
 from __future__ import annotations
@@ -44,13 +47,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sps
 
-from .fem import (
-    _finite_per_cell,
-    _per_cell,
-    rt0_div_matrix,
-    rt0_local_blocks,
-    rt0_mass_matrix,
-)
+from .fem import _finite_per_cell, _per_cell, rt0_local_blocks
 from .mesh import SIDES, MeshError, MixedDimGeometry, SimplicialMesh
 
 __all__ = [
@@ -61,7 +58,6 @@ __all__ = [
     "coefficients_from_mode",
     "assemble",
     "rt0_entries",
-    "local_entries",
 ]
 
 
@@ -233,11 +229,13 @@ class BoundaryConditions:
 class BlockSystem:
     """The assembled coupled system.
 
-    ``F`` (flux x flux), ``C`` (flux x pressure) and the right-hand sides
-    ``g`` (flux) and ``f`` (pressure) are the blocks of [[F, C], [C', 0]],
-    after essential elimination.  ``matrix`` and ``rhs`` are that full
-    symmetric operator and its right-hand side [g; f], acting on the
-    global vector [u; p]; ``offsets`` maps its blocks (``<domain>_flux``,
+    ``table`` is the table of local fluxes, one ``LocalEntries`` per
+    domain; ``F`` (flux x flux) and ``C`` (flux x pressure) are its
+    scatter, and with the right-hand sides ``g`` (flux) and ``f``
+    (pressure) the blocks of [[F, C], [C', 0]], after essential
+    elimination.  ``matrix`` and ``rhs`` are that full symmetric operator
+    and its right-hand side [g; f], acting on the global vector [u; p];
+    ``offsets`` maps its blocks (``<domain>_flux``,
     ``exchange_<side>_flux``, ``<domain>_pressure``) to slices.
     ``eliminated`` maps eliminated flux dofs (positions in u, and so in the
     global vector) to their imposed values; ``anchors`` lists the pressure
@@ -247,6 +245,7 @@ class BlockSystem:
 
     geometry: MixedDimGeometry
     coefficients: CoefficientSet
+    table: list[LocalEntries]
     F: sps.csr_array
     C: sps.csr_array
     g: np.ndarray
@@ -286,9 +285,7 @@ class LocalEntries:
     cell k is ``sigma[k, j]`` times the global flux dof ``dofs[k, j]``,
     taken out of the cell; ``mass[k]`` is the cell's symmetric positive
     definite local resistance, and ``cells[k]`` its pressure unknown (an
-    index into p).  Scattering (sigma sigma') o mass onto (dof, dof) over
-    every domain gives F, and -sigma onto (dof, cell) gives C, before
-    essential elimination."""
+    index into p).  ``_scatter`` writes F and C from these rows."""
 
     dofs: np.ndarray  # (n, m) int
     sigma: np.ndarray  # (n, m)
@@ -329,24 +326,24 @@ def _with_resistors(entries: LocalEntries, dofs, sigma, resist):
     )
 
 
-def local_entries(system: BlockSystem) -> list[LocalEntries]:
-    """The table of local fluxes of ``system``, one ``LocalEntries`` per
-    domain: the RT0 faces of each cell, and in a damage cell its paired
-    matrix face (sigma -1, resistance r_md / |F|) and its exchange dof
-    (sigma |fault cell|, resistance R / (2 |fault cell|)); in a fault cell
-    both exchange dofs (sigma -|fault cell|, the other halves)."""
-    geometry, coeff, offsets = (
-        system.geometry,
-        system.coefficients,
-        system.offsets,
-    )
-    n_flux = system.F.shape[0]
+def _local_table(
+    geometry: MixedDimGeometry,
+    coeff: CoefficientSet,
+    offsets: dict[str, slice],
+    first_cell: dict[str, int],
+) -> list[LocalEntries]:
+    """The table of local fluxes, one ``LocalEntries`` per domain: the
+    RT0 faces of each cell, and in a damage cell its paired matrix face
+    (sigma -1, resistance r_md / |F|, as (u.n, v.n) over the face is
+    1 / |F| for the face's own basis function) and its exchange dof (sigma
+    |fault cell|, resistance R / (2 |fault cell|)); in a fault cell both
+    exchange dofs (sigma -|fault cell|, the other halves)."""
     table = {
         dom: rt0_entries(
             mesh,
             coeff.resist[dom],
             offsets[f"{dom}_flux"].start,
-            offsets[f"{dom}_pressure"].start - n_flux,
+            first_cell[dom],
         )
         for dom, mesh in geometry.domains.items()
     }
@@ -382,6 +379,41 @@ def local_entries(system: BlockSystem) -> list[LocalEntries]:
     return list(table.values())
 
 
+def _scatter(table: list[LocalEntries], n_flux: int, n_cells: int):
+    """F and C of the table of local fluxes ``table``, before essential
+    elimination: (sigma sigma') o mass scattered onto (dof, dof) and
+    -sigma onto (dof, cell).  A zero of a local mass (the padding of
+    ``_with_resistors``, an exact zero of an RT0 block) stores nothing, so
+    F couples no two domains and stores no entry that elimination would
+    drop."""
+    flux, coupling = [], []
+    for t in table:
+        local = t.sigma[:, :, None] * t.sigma[:, None, :] * t.mass
+        nonzero = local != 0
+        flux.append(
+            (
+                local[nonzero],
+                np.broadcast_to(t.dofs[:, :, None], local.shape)[nonzero],
+                np.broadcast_to(t.dofs[:, None, :], local.shape)[nonzero],
+            )
+        )
+        coupling.append(
+            (
+                -t.sigma.ravel(),
+                t.dofs.ravel(),
+                np.repeat(t.cells, t.dofs.shape[1]),
+            )
+        )
+
+    def coo(parts, n_cols):
+        vals, rows, cols = (np.concatenate(x) for x in zip(*parts))
+        return sps.coo_array(
+            (vals, (rows, cols)), shape=(n_flux, n_cols)
+        ).tocsr()
+
+    return coo(flux, n_flux), coo(coupling, n_cells)
+
+
 def assemble(
     geometry: MixedDimGeometry,
     coefficients: CoefficientSet,
@@ -396,74 +428,27 @@ def assemble(
     sources = sources or {}
 
     domains = geometry.domains
-    meshes = list(domains.values())
-    fault = geometry.fault
-    n_exchange = 2 * fault.n_cells
+    n_exchange = 2 * geometry.fault.n_cells
 
     # -- the layout of the global vector [u; p] ---------------------------
     blocks = [
         *((f"{dom}_flux", m.n_faces) for dom, m in domains.items()),
-        *((f"exchange_{s}_flux", fault.n_cells) for s in SIDES),
+        *((f"exchange_{s}_flux", geometry.fault.n_cells) for s in SIDES),
         *((f"{dom}_pressure", m.n_cells) for dom, m in domains.items()),
     ]
     ends = np.cumsum([n for _, n in blocks]).tolist()
     offsets = {
         name: slice(end - n, end) for (name, n), end in zip(blocks, ends)
     }
-
-    # -- F: flux mass blocks and the exchange resistance -----------------
-    # The Robin resistance of the matrix/damage interface lands on the
-    # diagonal of the paired matrix face: (u.n, v.n) over the face is
-    # 1/|F| for the face's own basis function.
-    penalty = np.zeros(geometry.matrix.n_faces)
-    for side in SIDES:
-        faces = geometry.matrix_damage[side].pairs[:, 0]
-        penalty[faces] += coefficients.matrix_damage_resist[side] / (
-            geometry.matrix.face_measures[faces]
-        )
-    mass = [
-        rt0_mass_matrix(m, coefficients.resist[dom])
-        for dom, m in domains.items()
-    ]
-    mass[0] = sps.csr_array(mass[0] + sps.diags_array(penalty))
-    exchange_resist = np.concatenate(
-        [coefficients.damage_fault_resist[s] for s in SIDES]
-    )
-    exchange = sps.diags_array(
-        exchange_resist * np.tile(fault.cell_measures, 2)
-    )
-    F = sps.csr_array(sps.block_diag([*mass, exchange], format="csr"))
-
-    # -- C: -div of every domain, plus the interface couplings ------------
-    divergence = sps.block_diag(
-        [-rt0_div_matrix(mesh) for mesh in meshes]
-        + [sps.csr_array((n_exchange, 0))],
-        format="csr",
-    )
     # C's columns and ``anchors`` index p, which follows the fluxes
+    n_flux = offsets[f"exchange_{SIDES[-1]}_flux"].stop
     first_cell = {
-        dom: offsets[f"{dom}_pressure"].start - F.shape[0] for dom in domains
+        dom: offsets[f"{dom}_pressure"].start - n_flux for dom in domains
     }
-    rows, cols, vals = [], [], []
-    for side in SIDES:
-        x0 = offsets[f"exchange_{side}_flux"].start
-        d0 = first_cell[f"damage_{side}"]
-        # matrix/damage: value 1 per (face, damage cell) pair
-        faces, dcells = geometry.matrix_damage[side].pairs.T
-        rows.append(faces)
-        cols.append(dcells + d0)
-        vals.append(np.ones(len(faces)))
-        # exchange rows: fault-cell measures, out of the damage layer and
-        # into the fault, cell i of the layer against cell i of the fault
-        cells = np.arange(fault.n_cells)
-        rows += [cells + x0, cells + x0]
-        cols += [cells + d0, cells + first_cell["fault"]]
-        vals += [-fault.cell_measures, fault.cell_measures]
-    couplings = sps.coo_array(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=divergence.shape,
-    )
-    C = sps.csr_array(divergence + couplings)
+
+    # -- F and C: one scatter of the table of local fluxes ----------------
+    table = _local_table(geometry, coefficients, offsets, first_cell)
+    F, C = _scatter(table, n_flux, ends[-1] - n_flux)
 
     # -- right-hand sides --------------------------------------------------
     unknown = set(sources) - set(domains)
@@ -496,6 +481,7 @@ def assemble(
     return BlockSystem(
         geometry=geometry,
         coefficients=coefficients,
+        table=table,
         F=F,
         C=C,
         g=g,

@@ -11,16 +11,15 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sps
 
 from .assembly import (
     _eliminate_field,
     _essential_flux_values,
     _saddle_matrix,
+    _scatter,
     _weak_pressure_load,
     rt0_entries,
 )
-from .fem import rt0_div_matrix, rt0_mass_matrix
 from .linsolve import _direct_solve, _hybrid_solver
 from .mesh import MeshError, SimplicialMesh
 
@@ -68,15 +67,13 @@ def solve_equidim(
         if int(f) not in on_boundary:
             raise MeshError(f"face {f} is not a boundary face")
 
-    # the one-domain case of the coupled system: F = A, C = B
-    F = rt0_mass_matrix(mesh, resist)
-    C = sps.csr_array(-rt0_div_matrix(mesh))
+    # the one-domain case of the coupled system
+    table = [rt0_entries(mesh, resist)]
+    F, C = _scatter(table, mesh.n_faces, mesh.n_cells)
     g = _weak_pressure_load(mesh, pressure_bc)
     fixed = _essential_flux_values(mesh, boundary, pressure_bc, flux_bc)
     F, C, g, f = _eliminate_field(F, C, g, np.zeros(mesh.n_cells), fixed)
-    solve = _hybrid_solver(
-        [rt0_entries(mesh, resist)], ~np.isnan(fixed), mesh.n_cells
-    )
+    solve = _hybrid_solver(table, ~np.isnan(fixed), mesh.n_cells)
     x = _direct_solve(solve, np.concatenate([g, f]), _saddle_matrix(F, C))
     return EquiDimSolution(
         flux=x[: mesh.n_faces], pressure=x[mesh.n_faces :]

@@ -23,14 +23,11 @@ gives the mass integrals int_K (W zeta_i) . zeta_j of an affine simplex:
 from __future__ import annotations
 
 import numpy as np
-import scipy.sparse as sps
 
 from .mesh import MeshError, SimplicialMesh
 
 __all__ = [
     "rt0_local_blocks",
-    "rt0_mass_matrix",
-    "rt0_div_matrix",
     "rt0_eval_centroids",
 ]
 
@@ -87,32 +84,6 @@ def rt0_local_blocks(mesh: SimplicialMesh, weights) -> np.ndarray:
     M[np.abs(M) <= 16 * np.finfo(float).eps * second[:, None, None]] = 0.0
     M *= mesh.cell_measures[:, None, None]
     return M
-
-
-def rt0_mass_matrix(mesh: SimplicialMesh, weights) -> sps.csr_array:
-    """Weighted flux mass matrix of a whole mesh (faces x faces): the
-    local blocks of ``rt0_local_blocks`` summed over cells.  The tests
-    cross-check it against a per-cell oracle.
-    """
-    M = rt0_local_blocks(mesh, weights)
-    n1 = mesh.dim + 1
-    rows = np.repeat(mesh.cell_faces, n1, axis=1).ravel()
-    cols = np.tile(mesh.cell_faces, n1).ravel()
-    return sps.coo_array(
-        (M.ravel(), (rows, cols)), shape=(mesh.n_faces, mesh.n_faces)
-    ).tocsr()
-
-
-def rt0_div_matrix(mesh: SimplicialMesh) -> sps.csr_array:
-    """Signed incidence matrix (faces x cells): entry (F, K) is the
-    orientation sign of K on F, i.e. the integrated divergence of the basis
-    of F restricted to K."""
-    rows = mesh.cell_faces.ravel()
-    cols = np.repeat(np.arange(mesh.n_cells), mesh.dim + 1)
-    data = mesh.cell_face_signs.ravel().astype(float)
-    return sps.coo_array(
-        (data, (rows, cols)), shape=(mesh.n_faces, mesh.n_cells)
-    ).tocsr()
 
 
 def rt0_eval_centroids(mesh: SimplicialMesh, dofs: np.ndarray) -> np.ndarray:

@@ -6,10 +6,11 @@ Two routes lead to the same solution:
 
 - ``solve_saddle`` hybridizes the mixed method (Arnold & Brezzi 1985):
   it eliminates every cell's local fluxes and pressure against one
-  multiplier per shared flux dof (``local_entries`` writes F and C cell
-  by cell), factors the symmetric positive definite system of those
-  multipliers under a no-pivot symmetric ordering, and refines the
-  solution against the exact operator.  No [u; p] matrix is factored.
+  multiplier per shared flux dof (``BlockSystem.table``, the table of
+  local fluxes F and C are scattered from), factors the symmetric
+  positive definite system of those multipliers under a no-pivot
+  symmetric ordering, and refines the solution against the exact
+  operator.  No [u; p] matrix is factored.
 - ``solve_schur`` eliminates every flux unknown.  That leaves the pressure
   system
 
@@ -36,7 +37,7 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .assembly import SIDES, BlockSystem, LocalEntries, local_entries
+from .assembly import SIDES, BlockSystem, LocalEntries
 from .fem import rt0_eval_centroids
 
 __all__ = [
@@ -314,7 +315,7 @@ def solve_saddle(system: BlockSystem) -> MixedSolution:
     _require_anchor(system)
     fixed = np.zeros(system.F.shape[0], dtype=bool)
     fixed[list(system.eliminated)] = True
-    solve = _hybrid_solver(local_entries(system), fixed, system.C.shape[1])
+    solve = _hybrid_solver(system.table, fixed, system.C.shape[1])
     x = _direct_solve(solve, system.rhs, system.matrix)
     return MixedSolution.from_vector(system, x)
 
@@ -388,7 +389,9 @@ def solve_schur(
     Returns the solution and a small report (iteration count over all
     restarts, true residual).  Raises SolverError when some pressure is
     not anchored, the right-hand side is not finite, a factorization
-    fails, CG uses up ``maxiter``, or the true residual stays above
+    fails, a CG iterate or the true residual is not finite (CG runs
+    without floating-point warnings and stops at the first such iterate),
+    CG uses up ``maxiter``, or the true residual stays above
     ``rtol`` while the restarts were still halving it or above
     ``_REFINE_TOL``.
     """
@@ -416,34 +419,48 @@ def solve_schur(
 
     count = {"n": 0}
 
-    def tick(_):
+    def tick(p):
         count["n"] += 1
+        if not np.all(np.isfinite(p)):
+            raise SolverError(
+                "conjugate gradients produced non-finite values at "
+                f"iteration {count['n']}"
+            )
 
     budget = maxiter or 40 * schur.n
-    norm_r = np.linalg.norm(r)
     p, residual = None, np.inf
-    for _ in range(1 + _REFINE_STEPS):
-        # info 0 means CG stopped inside its budget, so a restart always
-        # has at least one iteration left
-        p, info = spla.cg(
-            schur.operator(),
-            r,
-            x0=p,
-            rtol=rtol,
-            atol=0.0,
-            maxiter=budget - count["n"],
-            M=M,
-            callback=tick,
-        )
-        if info != 0:
-            raise SolverError(
-                f"conjugate gradients stopped after {count['n']} "
-                f"iterations without reaching rtol={rtol:g} (info={info})"
+    # CG's inner products may overflow; its steps run without
+    # floating-point warnings, and the iterate and residual are checked
+    with np.errstate(all="ignore"):
+        norm_r = np.linalg.norm(r)
+        for _ in range(1 + _REFINE_STEPS):
+            # info 0 means CG stopped inside its budget, so a restart
+            # always has at least one iteration left
+            p, info = spla.cg(
+                schur.operator(),
+                r,
+                x0=p,
+                rtol=rtol,
+                atol=0.0,
+                maxiter=budget - count["n"],
+                M=M,
+                callback=tick,
             )
-        previous = residual
-        residual = float(np.linalg.norm(schur.apply(p) - r) / norm_r)
-        if residual <= rtol or residual > 0.5 * previous:
-            break
+            if info != 0:
+                raise SolverError(
+                    f"conjugate gradients stopped after {count['n']} "
+                    f"iterations without reaching rtol={rtol:g} "
+                    f"(info={info})"
+                )
+            previous = residual
+            residual = float(np.linalg.norm(schur.apply(p) - r) / norm_r)
+            if not np.isfinite([norm_r, residual]).all():
+                raise SolverError(
+                    "conjugate gradients left a non-finite residual after "
+                    f"{count['n']} iterations"
+                )
+            if residual <= rtol or residual > 0.5 * previous:
+                break
     stalled = residual > 0.5 * previous
     if not (residual <= rtol or (stalled and residual <= _REFINE_TOL)):
         raise SolverError(

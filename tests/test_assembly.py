@@ -5,7 +5,9 @@ geometry (25 unknowns) with a completely separate dense code path: explicit
 basis functions integrated by quadrature rules (edge midpoints on
 triangles, Simpson on segments), signs taken from geometry, boundary
 elimination done densely on the composed matrix.  Everything must agree to
-1e-12.
+1e-12.  The same oracle checks a 2x3 grid in both coefficient modes and
+with a per-cell matrix tensor, since F and C are the scatter of the table
+of local fluxes that the hybridized solve also reads.
 """
 
 import importlib.util
@@ -24,7 +26,6 @@ from faultflow.assembly import (
     CoefficientSet,
     assemble,
     coefficients_from_mode,
-    local_entries,
 )
 from faultflow.linsolve import (
     conservation_residuals,
@@ -44,7 +45,7 @@ from faultflow.scenarios import (
     resolve_boundary_conditions,
     resolve_coefficients,
 )
-from helpers import series_setup, series_solution_vector
+from helpers import rt0_local_mass, series_setup, series_solution_vector
 
 
 # ---------------------------------------------------------------------------
@@ -137,13 +138,15 @@ def dense_operator(geometry, coeff, bc, sources):
             fns = lowest_order_basis(mesh, cell, mids[dom])
             pts, wts = quad_points(mesh, cell)
             faces = mesh.cell_faces[cell]
+            W = resist[dom][cell]
+            if np.ndim(W) == 0:
+                W = W * np.eye(3)
             for i, fi in enumerate(faces):
                 for j, fj in enumerate(faces):
-                    val = sum(
-                        w * np.dot(fns[i](p), fns[j](p))
+                    A[fo + fi, fo + fj] += sum(
+                        w * fns[i](p) @ W @ fns[j](p)
                         for p, w in zip(pts, wts)
                     )
-                    A[fo + fi, fo + fj] += resist[dom][cell] * val
                 # divergence via the boundary of the cell
                 div = sum(
                     np.dot(
@@ -722,27 +725,8 @@ def test_eliminated_dofs_record_imposed_values():
 
 
 # ---------------------------------------------------------------------------
-# the table of local fluxes
+# the table of local fluxes: F and C are its scatter
 # ---------------------------------------------------------------------------
-
-
-def scatter_table(system):
-    """F and C written from ``local_entries``: (sigma sigma') o mass onto
-    (dof, dof) and -sigma onto (dof, cell), with the eliminated dofs
-    reduced to unit rows and columns as ``assemble`` does."""
-    n_flux, n_cells = system.C.shape
-    F = np.zeros((n_flux, n_flux))
-    C = np.zeros((n_flux, n_cells))
-    for t in local_entries(system):
-        local = t.sigma[:, :, None] * t.sigma[:, None, :] * t.mass
-        np.add.at(F, (t.dofs[:, :, None], t.dofs[:, None, :]), local)
-        np.add.at(C, (t.dofs, t.cells[:, None]), -t.sigma)
-    fixed = list(system.eliminated)
-    F[fixed, :] = 0.0
-    F[:, fixed] = 0.0
-    F[fixed, fixed] = 1.0
-    C[fixed, :] = 0.0
-    return F, C
 
 
 def fault3d_system(n_x, n_y):
@@ -762,11 +746,11 @@ def fault3d_system(n_x, n_y):
     )
 
 
-def two_block_system(mode):
-    """A 3x4 two-block grid with per-cell conductivities over six
+def two_block_case(mode):
+    """A 2x3 two-block grid with per-cell conductivities over six
     decades, pressure and flux data on the matrix and flux data on the
     layers; ``mode`` "tensor" gives the matrix anisotropic tensors."""
-    geometry = build_two_block_geometry(3, 4)
+    geometry = build_two_block_geometry(2, 3)
     rng = np.random.default_rng(7)
     k = {
         dom: 10.0 ** rng.uniform(-3, 3, mesh.n_cells)
@@ -790,13 +774,90 @@ def two_block_system(mode):
     for f in geometry.fault.faces_with_tag("y0"):
         bc.flux[("fault", int(f))] = 0.25
         bc.pressure[("damage_left", int(f))] = 2.0
-    return assemble(geometry, coeff, bc)
+    return geometry, coeff, bc
 
 
-@pytest.mark.parametrize("mode", ["literal", "permeability", "tensor", "3d"])
-def test_local_entries_scatter_to_the_assembled_blocks(mode):
-    system = fault3d_system(3, 2) if mode == "3d" else two_block_system(mode)
-    F, C = scatter_table(system)
-    assembled = system.F.toarray()
-    assert np.all(np.abs(F - assembled) <= 1e-15 * np.abs(assembled))
-    assert np.array_equal(C, system.C.toarray())
+@pytest.mark.parametrize("mode", ["literal", "permeability", "tensor"])
+def test_operator_matches_dense_reassembly_in_every_mode(mode):
+    # resistances over six decades and more, per cell: each entry is held
+    # to its own size, with a floor for the exact zeros the quadrature
+    # leaves a residue in
+    geometry, coeff, bc = two_block_case(mode)
+    sources = {"damage_right": 0.5}
+    system = assemble(geometry, coeff, bc, sources)
+    dense, rhs, fixed = dense_operator(geometry, coeff, bc, sources)
+    got = system.matrix.toarray()
+    floor = 1e-15 * np.abs(dense).max()
+    assert np.all(np.abs(got - dense) <= 1e-12 * np.abs(dense) + floor)
+    assert np.max(np.abs(system.rhs - rhs)) <= 1e-12
+    assert system.eliminated == fixed
+
+
+def test_fault3d_couplings_match_their_closed_forms():
+    system = fault3d_system(3, 2)
+    geometry, coeff, offsets = (
+        system.geometry,
+        system.coefficients,
+        system.offsets,
+    )
+    F, C = system.F, system.C.toarray()
+    matrix, fault = geometry.matrix, geometry.fault
+    measure = fault.cell_measures
+    cells = np.arange(fault.n_cells)
+    fault_cell = offsets["fault_pressure"].start - F.shape[0] + cells
+    for side in SIDES:
+        # the exchange: resistance R |fault cell| on the diagonal, and
+        # -|fault cell| out of the damage cell, +|fault cell| into the fault
+        x = offsets[f"exchange_{side}_flux"].start + cells
+        assert np.allclose(
+            F.diagonal()[x],
+            coeff.damage_fault_resist[side] * measure,
+            rtol=1e-15,
+            atol=0.0,
+        )
+        damage_cell = (
+            offsets[f"damage_{side}_pressure"].start - F.shape[0] + cells
+        )
+        expected = np.zeros((fault.n_cells, C.shape[1]))
+        expected[cells, damage_cell] = -measure
+        expected[cells, fault_cell] = measure
+        assert np.array_equal(C[x], expected)
+
+        # a paired matrix face: the Robin resistance r_md / |F| on top of
+        # its RT0 diagonal, and 1 in the column of its damage cell
+        faces, paired = geometry.matrix_damage[side].pairs.T
+        robin = coeff.matrix_damage_resist[side] / matrix.face_measures[faces]
+        for face, r, dcell in zip(faces, robin, paired):
+            owner = matrix.face_cells[face, 0]
+            local = list(matrix.cell_faces[owner]).index(face)
+            M = rt0_local_mass(
+                matrix.vertices[matrix.cells[owner]],
+                matrix.cell_face_signs[owner],
+                coeff.resist["matrix"][owner],
+            )
+            assert F[face, face] == pytest.approx(
+                r + M[local, local], rel=1e-13
+            )
+            assert C[face, damage_cell[dcell]] == 1.0
+            assert np.count_nonzero(C[face]) == 2
+
+
+def test_flux_operator_couples_no_two_domains():
+    # with pressure data on every external face nothing is eliminated, so
+    # F is the scatter as it is: the zeros that pad the local resistance
+    # of a damage or fault cell must not become entries between domains
+    geometry = build_two_block_geometry(2, 3)
+    coeff = CoefficientSet.for_geometry(geometry, 1.0, 1.0, 1.0)
+    bc = BoundaryConditions()
+    for dom in geometry.domains:
+        for f in geometry.external_faces(dom):
+            bc.pressure[(dom, int(f))] = 1.0
+    system = assemble(geometry, coeff, bc)
+    assert not system.eliminated
+    block = np.empty(system.F.shape[0], dtype=int)
+    for k, (name, sl) in enumerate(system.offsets.items()):
+        if name.endswith("_flux"):
+            block[sl] = k
+    F = system.F.tocoo()
+    assert np.array_equal(block[F.row], block[F.col])
+    assert np.all(F.data != 0.0)

@@ -6,7 +6,9 @@ the unit right triangle, both computed directly from the basis definition
 without any moment formula.  They check the per-cell oracle
 ``helpers.rt0_local_mass``, which integrates through the barycentric moment
 formula; the vectorized kernel, which integrates through the centroid basis
-and the second-moment identity, is checked against that oracle cell by cell.
+and the second-moment identity, is checked against that oracle cell by cell,
+as one mesh's F: the scatter of its cells' entries in the table of local
+fluxes, which ``assemble`` uses for every domain.
 """
 
 from itertools import permutations
@@ -15,9 +17,16 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from faultflow.fem import rt0_div_matrix, rt0_eval_centroids, rt0_mass_matrix
+from faultflow.assembly import _scatter, rt0_entries
+from faultflow.fem import rt0_eval_centroids, rt0_local_blocks
 from faultflow.mesh import MeshError, SimplicialMesh, build_two_block_geometry
 from helpers import rt0_interpolate, rt0_local_mass
+
+
+def scatter(mesh, weights=1.0):
+    """F and C of one mesh: its flux mass matrix (faces x faces) and its
+    negated divergence (faces x cells)."""
+    return _scatter([rt0_entries(mesh, weights)], mesh.n_faces, mesh.n_cells)
 
 
 def unit_interval_mesh():
@@ -175,8 +184,8 @@ def test_div_of_interpolated_linear_field():
     # unit right triangle must equal 2 * measure = 1 exactly.
     mesh = unit_right_triangle_mesh()
     dofs = rt0_interpolate(mesh, lambda p: p * [1.0, 1.0, 0.0])
-    div = rt0_div_matrix(mesh)
-    total = (div.T @ dofs)[0]
+    _, C = scatter(mesh)
+    total = -(C.T @ dofs)[0]
     assert abs(total - 1.0) < 1e-12
 
 
@@ -184,7 +193,7 @@ def test_div_of_constant_field_is_zero():
     geom = build_two_block_geometry(3, 3)
     mesh = geom.matrix
     dofs = rt0_interpolate(mesh, np.array([0.3, -1.2, 0.0]))
-    resid = np.abs(rt0_div_matrix(mesh).T @ dofs)
+    resid = np.abs(scatter(mesh)[1].T @ dofs)
     assert resid.max() < 1e-12
 
 
@@ -201,7 +210,7 @@ def test_mass_matrix_matches_local_loop():
     cases = [(mesh, 2.5) for mesh in
              (geom.matrix, geom.damage["left"], geom.fault)]
     for mesh, weights in cases + [(cube, tensors)]:
-        A = rt0_mass_matrix(mesh, weights).toarray()
+        A = scatter(mesh, weights)[0].toarray()
         dense = np.zeros_like(A)
         for c in range(mesh.n_cells):
             M = rt0_local_mass(
@@ -217,16 +226,21 @@ def test_mass_matrix_matches_local_loop():
 def test_mass_matrix_keeps_exact_zeros_on_square_grids():
     # on a right isosceles triangle the hypotenuse face is orthogonal to
     # both leg faces in the mass inner product; those entries must be 0.0
-    # exactly, since a round-off residue would add fill to the factors
+    # exactly, since a round-off residue would add fill to the factors.
+    # The scatter stores none of them: F holds every diagonal entry and
+    # the two leg/leg entries of each cell.
     mesh = build_two_block_geometry(3, 3).matrix
     for weights in (1.0, 1.0 / 0.03, np.linspace(0.1, 10.0, mesh.n_cells)):
-        data = rt0_mass_matrix(mesh, weights).data
-        assert np.count_nonzero(data == 0.0) == 4 * mesh.n_cells
+        blocks = rt0_local_blocks(mesh, weights)
+        assert np.count_nonzero(blocks == 0.0) == 4 * mesh.n_cells
+        F, _ = scatter(mesh, weights)
+        assert F.nnz == mesh.n_faces + 2 * mesh.n_cells
+        assert np.all(F.data != 0.0)
 
 
 def test_mass_matrix_spd_on_two_block():
     mesh = build_two_block_geometry(3, 2).matrix
-    A = rt0_mass_matrix(mesh, np.full(mesh.n_cells, 3.0)).toarray()
+    A = scatter(mesh, np.full(mesh.n_cells, 3.0))[0].toarray()
     assert np.abs(A - A.T).max() < 1e-13
     np.linalg.cholesky(A)  # raises if not positive definite
 

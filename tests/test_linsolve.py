@@ -20,7 +20,6 @@ from faultflow.assembly import (
     CoefficientSet,
     assemble,
     coefficients_from_mode,
-    local_entries,
 )
 from faultflow.linsolve import (
     MixedSolution,
@@ -497,9 +496,7 @@ def hybridized_solve(system):
     """The hybridized solve of ``system``, without refinement."""
     fixed = np.zeros(system.F.shape[0], dtype=bool)
     fixed[list(system.eliminated)] = True
-    return linsolve._hybrid_solver(
-        local_entries(system), fixed, system.C.shape[1]
-    )
+    return linsolve._hybrid_solver(system.table, fixed, system.C.shape[1])
 
 
 @settings(max_examples=40, deadline=None)
@@ -580,9 +577,10 @@ def test_refinement_takes_few_steps_on_bundled_cases(name, monkeypatch):
     assert 2 <= len(solves) <= 5
 
 
+@pytest.mark.parametrize("route", ["saddle", "schur"])
 @settings(max_examples=60, deadline=None)
 @given(data=st.data())
-def test_saddle_route_refuses_or_conserves_at_extreme_contrast(data):
+def test_route_refuses_or_conserves_at_extreme_contrast(route, data):
     # coefficients over three hundred decades and layers from 1e-6 to 1e6
     # thick: the run is refused with one of the package's errors or passes
     # ``_solve``'s conservation check, and never warns
@@ -596,7 +594,7 @@ def test_saddle_route_refuses_or_conserves_at_extreme_contrast(data):
         f"eps_mu {power(-6, 6)}",
         f"eps_gamma {power(-6, 6)}",
         f"mode {data.draw(st.sampled_from(['literal', 'permeability']))}",
-        "solver saddle",
+        f"solver {route}",
         *(
             f"coeff {region} {power(-150, 150)}"
             for region in ("matrix", "damage_left", "damage_right", "fault")
@@ -614,6 +612,33 @@ def test_saddle_route_refuses_or_conserves_at_extreme_contrast(data):
         except (ConfigError, MeshError, SolverError):
             return
     assert np.all(np.isfinite(solution.vector))
+
+
+def test_schur_route_stops_at_the_first_non_finite_iterate():
+    # a fault 1e79 times more resistive than the rest overflows CG's inner
+    # products: the route stops within a few iterations, without a warning,
+    # instead of spending its whole budget on NaN
+    config = parse_config(
+        "\n".join(
+            [
+                "geometry two_block",
+                "nx 2",
+                "ny 3",
+                "eps_mu 1",
+                "eps_gamma 1",
+                "mode literal",
+                "solver schur",
+                "coeff matrix 1",
+                "coeff damage_left 1",
+                "coeff damage_right 1",
+                "coeff fault 1e79",
+                "bc pressure 1 on matrix:left",
+                "bc flux -2 on matrix:right",
+            ]
+        )
+    )
+    with pytest.raises(SolverError, match="non-finite values at iteration"):
+        _solve(config)
 
 
 def test_zero_data_yields_zero_solution():

@@ -80,7 +80,28 @@ def test_compare_snapshots(tmp_path, capsys, vtk, csv, where):
         assert err.startswith(where + ":")
     else:
         assert code == 0
-        assert out == f"2 files match within 1e-12 per block; {where}\n"
+        first = out.splitlines()[0]
+        assert first == f"2 files match within 1e-12 per block; {where}"
+
+
+def test_compare_snapshots_lists_files_that_are_not_byte_identical(
+    tmp_path, capsys
+):
+    before = snapshot(tmp_path / "before")
+    same = snapshot(tmp_path / "same")
+    assert compare_snapshots.main([str(before), str(same)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1:] == ["2 of 2 files are byte-identical"]
+
+    # the same value written another way matches, but not byte for byte
+    after = snapshot(tmp_path / "after", csv=CSV.replace("2.0", "2.00"))
+    assert compare_snapshots.main([str(before), str(after)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines == [
+        "2 files match within 1e-12 per block; no float differs",
+        "1 of 2 files are byte-identical; not byte-identical:",
+        "  case/summary.csv",
+    ]
 
 
 def test_compare_snapshots_names_a_missing_file(tmp_path, capsys):

@@ -16,7 +16,8 @@ scale, so a field that is zero up to round-off (the fault velocity of a
 symmetric case) is measured against the pressures next to it.
 
 Exits 0 when every file matches, and then prints the largest difference
-relative to its block's scale and the file and line where it occurs.
+relative to its block's scale and the file and line where it occurs, how
+many files are byte-identical, and the files that are not, one a line.
 Exits 1 at the first file and line that does not match, which it names.
 """
 
@@ -110,6 +111,7 @@ def main(argv=None) -> int:
         print(f"{missing[0]}: missing from {side}", file=sys.stderr)
         return 1
     largest = (0.0, "")
+    changed = []
     for rel in files[0]:
         message, (relative, line) = compare_file(
             rel, before / rel, after / rel
@@ -118,12 +120,21 @@ def main(argv=None) -> int:
             print(message, file=sys.stderr)
             return 1
         largest = max(largest, (relative, f"{rel}:{line}"))
+        if (before / rel).read_bytes() != (after / rel).read_bytes():
+            changed.append(rel)
     relative, where = largest
     print(
         f"{len(files[0])} files match within {RTOL:g} per block; "
         + (f"largest {relative:.2g} of block scale at {where}"
            if relative else "no float differs")
     )
+    identical = len(files[0]) - len(changed)
+    print(
+        f"{identical} of {len(files[0])} files are byte-identical"
+        + ("; not byte-identical:" if changed else "")
+    )
+    for rel in changed:
+        print(f"  {rel}")
     return 0
 
 
