@@ -29,8 +29,14 @@ exchange rows, so the pressure rows C'u = f are the negated conservation
 statements of each domain: the damage rows add the matrix inflow and
 subtract the exchange outflow, the fault rows add the exchange inflow
 from both sides.  The hybridized solve eliminates the same table cell by
-cell.  Essential (flux) boundary data is imposed by symmetric elimination:
-unit diagonal rows with right-hand-side fixups, so symmetry survives.
+cell.
+
+Boundary data goes through one routine, ``_boundary_data``, per domain
+here and for the one-domain reference of ``equidim``: it refuses bad face
+data and gives the load of the weakly imposed pressures, the eliminated
+net fluxes and the anchor cells.  Essential (flux) data is imposed by
+symmetric elimination: unit diagonal rows with right-hand-side fixups, so
+symmetry survives.
 
 The global unknown vector is [u; p], in the order in which F and C are
 assembled.  ``BlockSystem.offsets`` is its one layout table, built from
@@ -193,36 +199,11 @@ class BoundaryConditions:
     ``pressure`` holds natural data (weakly imposed boundary pressures);
     ``flux`` holds essential data as outward normal flux densities,
     eliminated from the system.  External boundary faces listed in neither
-    default to zero flux.
+    default to zero flux.  ``assemble`` checks the data (``_boundary_data``).
     """
 
     pressure: dict[tuple[str, int], float] = field(default_factory=dict)
     flux: dict[tuple[str, int], float] = field(default_factory=dict)
-
-    def validate(self, geometry: MixedDimGeometry) -> None:
-        meshes = geometry.domains
-        external = set(geometry.external_faces("matrix").tolist())
-        overlap = set(self.pressure) & set(self.flux)
-        if overlap:
-            dom, f = sorted(overlap)[0]
-            raise MeshError(
-                f"face {f} of {dom} has both pressure and flux data"
-            )
-        for (dom, f), _ in list(self.pressure.items()) + list(
-            self.flux.items()
-        ):
-            if dom not in meshes:
-                raise MeshError(f"boundary data on unknown domain {dom!r}")
-            mesh = meshes[dom]
-            if f < 0 or f >= mesh.n_faces or mesh.face_cells[f, 1] >= 0:
-                raise MeshError(
-                    f"face {f} of {dom} is not an external boundary face"
-                )
-            if dom == "matrix" and f not in external:
-                raise MeshError(
-                    f"matrix face {f} lies on the fault plane and cannot "
-                    "carry boundary data"
-                )
 
 
 @dataclass
@@ -424,7 +405,6 @@ def assemble(
     ``sources`` maps domains to finite source densities q (div u = q), a
     scalar or one value per cell each; a domain left out has none."""
     bc = bc or BoundaryConditions()
-    bc.validate(geometry)
     sources = sources or {}
 
     domains = geometry.domains
@@ -459,22 +439,26 @@ def assemble(
         * _finite_per_cell(sources.get(dom, 0.0), m.n_cells, f"{dom} source")
         for dom, m in domains.items()
     }
-    pressure = _by_domain(bc.pressure, geometry)
-    g = np.concatenate(
-        [_weak_pressure_load(m, pressure[dom]) for dom, m in domains.items()]
-        + [np.zeros(n_exchange)]
+    # -- boundary data, one domain at a time ------------------------------
+    data = {dom: ({}, {}) for dom in domains}
+    for kind, items in enumerate((bc.pressure, bc.flux)):
+        for (dom, face), value in items.items():
+            if dom not in data:
+                raise MeshError(f"boundary data on unknown domain {dom!r}")
+            data[dom][kind][face] = value
+    loads, values, anchors = zip(
+        *(
+            _boundary_data(m, geometry.external_faces(dom), *data[dom], dom)
+            for dom, m in domains.items()
+        )
     )
+    g = np.concatenate([*loads, np.zeros(n_exchange)])
     # Pressure rows are the negated conservation statements (C carries
     # -div), so a source density q enters with a minus sign.
     f = -np.concatenate([source_integrals[dom] for dom in domains])
 
     # -- essential elimination over all flux dofs -------------------------
-    values = np.concatenate(
-        [
-            *_essential_values(geometry, bc).values(),
-            np.full(n_exchange, np.nan),
-        ]
-    )
+    values = np.concatenate([*values, np.full(n_exchange, np.nan)])
     F, C, g, f = _eliminate_field(F, C, g, f, values)
 
     fixed = ~np.isnan(values)
@@ -490,62 +474,64 @@ def assemble(
         eliminated=dict(
             zip(np.flatnonzero(fixed).tolist(), values[fixed].tolist())
         ),
-        anchors=np.array(
-            [
-                first_cell[dom] + domains[dom].face_cells[face, 0]
-                for dom, face in bc.pressure
-            ],
-            dtype=np.int64,
+        anchors=np.concatenate(
+            [first_cell[dom] + a for dom, a in zip(domains, anchors)]
         ),
         source_integrals=source_integrals,
     )
 
 
-def _by_domain(data: dict, geometry: MixedDimGeometry) -> dict[str, dict]:
-    """Split (domain, face) -> value data into face -> value per domain."""
-    out = {dom: {} for dom in geometry.domains}
-    for (dom, f), value in data.items():
-        out[dom][f] = value
-    return out
-
-
-def _weak_pressure_load(mesh: SimplicialMesh, pressure: dict) -> np.ndarray:
-    """Flux-row right-hand side of weakly imposed boundary pressures
-    (face -> value): -p on each listed face, since a boundary face's dof is
-    its outward net flux."""
-    g = np.zeros(mesh.n_faces)
-    if pressure:
-        g[list(pressure)] = -np.array(list(pressure.values()), dtype=float)
-    return g
-
-
-def _essential_flux_values(
-    mesh: SimplicialMesh, faces: np.ndarray, pressure: dict, flux: dict
-) -> np.ndarray:
-    """Imposed net-flux dof values on the boundary ``faces`` not listed in
-    ``pressure``, NaN where the dof stays free.  ``flux`` maps faces to
-    outward flux densities; unlisted faces default to zero flux."""
+def _boundary_data(mesh: SimplicialMesh, faces, pressure, flux, where: str):
+    """What the boundary data of ``mesh`` (the domain ``where``) does to
+    its system.  ``pressure`` maps faces to weakly imposed pressures and
+    ``flux`` to outward flux densities; the other faces of ``faces`` (the
+    ones that take data) are zero-flux.  Returns the flux-row load (-p on
+    each pressure face, since a boundary face's dof is its outward net
+    flux), the eliminated net-flux values (density times face measure on
+    every other face of ``faces``, NaN on the free dofs) and the cells
+    owning a pressure face.  Data on a face outside ``faces`` (a mesh
+    boundary face left out lies on the fault plane), on a face listed
+    twice, with a non-integer face or a non-finite value, or whose net
+    flux overflows raises a MeshError naming the face and ``where``."""
+    takes = np.zeros(mesh.n_faces, dtype=bool)
+    takes[faces] = True
+    for kind, items in (("pressure", pressure), ("flux", flux)):
+        for face, value in items.items():
+            known = isinstance(face, (int, np.integer)) and (
+                0 <= face < mesh.n_faces
+            )
+            if not (known and takes[face]):
+                raise MeshError(
+                    f"face {face} of {where} lies on the fault plane and "
+                    "cannot carry boundary data"
+                    if known and mesh.face_cells[face, 1] < 0
+                    else f"face {face} of {where} is not an external "
+                    "boundary face"
+                )
+            if kind == "pressure" and face in flux:
+                raise MeshError(
+                    f"face {face} of {where} has both pressure and flux data"
+                )
+            if not np.isfinite(value):
+                raise MeshError(
+                    f"face {face} of {where} has non-finite {kind} {value:g}"
+                )
+    load = np.zeros(mesh.n_faces)
+    load[list(pressure)] = -np.array(list(pressure.values()), dtype=float)
     density = np.zeros(mesh.n_faces)
-    if flux:
-        density[list(flux)] = list(flux.values())
+    density[list(flux)] = list(flux.values())
     fixed = faces[~np.isin(faces, list(pressure))]
-    vals = np.full(mesh.n_faces, np.nan)
-    vals[fixed] = density[fixed] * mesh.face_measures[fixed]
-    return vals
-
-
-def _essential_values(
-    geometry: MixedDimGeometry, bc: BoundaryConditions
-) -> dict[str, np.ndarray]:
-    """Per-domain imposed net-flux dof values on the external faces."""
-    pressure = _by_domain(bc.pressure, geometry)
-    flux = _by_domain(bc.flux, geometry)
-    return {
-        dom: _essential_flux_values(
-            mesh, geometry.external_faces(dom), pressure[dom], flux[dom]
+    values = np.full(mesh.n_faces, np.nan)
+    with np.errstate(over="ignore"):
+        values[fixed] = density[fixed] * mesh.face_measures[fixed]
+    overflow = np.isinf(values)
+    if overflow.any():
+        face = int(np.argmax(overflow))
+        raise MeshError(
+            f"face {face} of {where}: flux {density[face]:g} times its "
+            f"measure {mesh.face_measures[face]:g} overflows"
         )
-        for dom, mesh in geometry.domains.items()
-    }
+    return load, values, mesh.face_cells[list(pressure), 0]
 
 
 def _eliminate_field(F, C, g, f, values: np.ndarray):

@@ -13,11 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import (
+    _boundary_data,
     _eliminate_field,
-    _essential_flux_values,
     _saddle_matrix,
     _scatter,
-    _weak_pressure_load,
     rt0_entries,
 )
 from .linsolve import _direct_solve, _hybrid_solver
@@ -45,33 +44,25 @@ def solve_equidim(
 
     ``pressure_bc`` maps boundary faces to weakly imposed pressures;
     ``flux_bc`` maps boundary faces to outward flux densities, eliminated
-    essentially; unlisted boundary faces are zero-flux.  The solve is the
-    one-domain case of the coupled saddle route: the hybridized solve of
-    the mesh's RT0 faces, refined against the full operator.  Raises
-    SolverError when the direct solve fails.
+    essentially; unlisted boundary faces are zero-flux.  The coupled
+    assembly's ``_boundary_data`` (domain ``reference``) checks the data
+    and refuses it as ``assemble`` does; no boundary pressure is a
+    MeshError too.  The solve is the one-domain case of the coupled saddle
+    route: the hybridized solve of the mesh's RT0 faces, refined against
+    the full operator.  Raises SolverError when the direct solve fails.
     """
-    pressure_bc = pressure_bc or {}
-    flux_bc = flux_bc or {}
-    if not pressure_bc:
+    g, fixed, anchors = _boundary_data(
+        mesh, mesh.boundary_faces(), pressure_bc or {}, flux_bc or {},
+        "reference",
+    )
+    if not len(anchors):
         raise MeshError(
             "at least one boundary pressure is needed to anchor the solve"
         )
-    overlap = set(pressure_bc) & set(flux_bc)
-    if overlap:
-        raise MeshError(
-            f"face {sorted(overlap)[0]} has both pressure and flux data"
-        )
-    boundary = mesh.boundary_faces()
-    on_boundary = set(boundary.tolist())
-    for f in list(pressure_bc) + list(flux_bc):
-        if int(f) not in on_boundary:
-            raise MeshError(f"face {f} is not a boundary face")
 
     # the one-domain case of the coupled system
     table = [rt0_entries(mesh, resist)]
     F, C = _scatter(table, mesh.n_faces, mesh.n_cells)
-    g = _weak_pressure_load(mesh, pressure_bc)
-    fixed = _essential_flux_values(mesh, boundary, pressure_bc, flux_bc)
     F, C, g, f = _eliminate_field(F, C, g, np.zeros(mesh.n_cells), fixed)
     solve = _hybrid_solver(table, ~np.isnan(fixed), mesh.n_cells)
     x = _direct_solve(solve, np.concatenate([g, f]), _saddle_matrix(F, C))

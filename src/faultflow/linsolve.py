@@ -30,6 +30,7 @@ local conservation, the two interface laws, and the global budget.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -365,11 +366,13 @@ def build_pressure_schur(system: BlockSystem) -> PressureSchur:
         raise SolverError(f"flux block factorization failed: {exc}") from exc
 
 
-def solve_schur(
-    system: BlockSystem,
-    rtol: float = 1e-12,
-    maxiter: int | None = None,
-) -> tuple[MixedSolution, dict]:
+# the relative residual CG must reach, and its budget of iterations per
+# pressure unknown (rounded up), over all restarts
+_CG_RTOL = 1e-12
+_CG_ITERATIONS = 40
+
+
+def solve_schur(system: BlockSystem) -> tuple[MixedSolution, dict]:
     """Solve through the pressure reduction S = C' F^-1 C with conjugate
     gradients, preconditioned by a factorization of the lumped complement
     S_L = C' diag(F)^-1 C (``_lumped_complement``).  S_L and S are
@@ -380,10 +383,10 @@ def solve_schur(
 
     CG stops on its recursively updated residual, which can drift below
     the true one.  So while the true relative residual |S p - r| / |r| is
-    above ``rtol``, CG restarts from its last iterate, at most
-    ``_REFINE_STEPS`` times and within one budget of ``maxiter``
-    iterations (default 40 per pressure unknown), until the residual
-    stops halving.  A residual that stalls above ``rtol`` is round-off in
+    above ``_CG_RTOL``, CG restarts from its last iterate, at most
+    ``_REFINE_STEPS`` times and within one budget of ``_CG_ITERATIONS``
+    iterations per pressure unknown, until the residual stops halving.
+    A residual that stalls above ``_CG_RTOL`` is round-off in
     applying S and is accepted up to ``_REFINE_TOL``.
 
     Returns the solution and a small report (iteration count over all
@@ -391,14 +394,14 @@ def solve_schur(
     not anchored, the right-hand side is not finite, a factorization
     fails, a CG iterate or the true residual is not finite (CG runs
     without floating-point warnings and stops at the first such iterate),
-    CG uses up ``maxiter``, or the true residual stays above
-    ``rtol`` while the restarts were still halving it or above
+    CG uses up its budget, or the true residual stays above
+    ``_CG_RTOL`` while the restarts were still halving it or above
     ``_REFINE_TOL``.
     """
     _require_anchor(system)
     schur = build_pressure_schur(system)
     r = schur.rhs()
-    # CG never meets its tolerance on NaN and would spend all of maxiter
+    # CG never meets its tolerance on NaN and would spend its whole budget
     if not np.all(np.isfinite(r)):
         raise SolverError("pressure right-hand side has non-finite values")
     if not np.any(r):
@@ -427,7 +430,7 @@ def solve_schur(
                 f"iteration {count['n']}"
             )
 
-    budget = maxiter or 40 * schur.n
+    budget = math.ceil(_CG_ITERATIONS * schur.n)
     p, residual = None, np.inf
     # CG's inner products may overflow; its steps run without
     # floating-point warnings, and the iterate and residual are checked
@@ -440,7 +443,7 @@ def solve_schur(
                 schur.operator(),
                 r,
                 x0=p,
-                rtol=rtol,
+                rtol=_CG_RTOL,
                 atol=0.0,
                 maxiter=budget - count["n"],
                 M=M,
@@ -449,7 +452,7 @@ def solve_schur(
             if info != 0:
                 raise SolverError(
                     f"conjugate gradients stopped after {count['n']} "
-                    f"iterations without reaching rtol={rtol:g} "
+                    f"iterations without reaching rtol={_CG_RTOL:g} "
                     f"(info={info})"
                 )
             previous = residual
@@ -459,12 +462,12 @@ def solve_schur(
                     "conjugate gradients left a non-finite residual after "
                     f"{count['n']} iterations"
                 )
-            if residual <= rtol or residual > 0.5 * previous:
+            if residual <= _CG_RTOL or residual > 0.5 * previous:
                 break
     stalled = residual > 0.5 * previous
-    if not (residual <= rtol or (stalled and residual <= _REFINE_TOL)):
+    if not (residual <= _CG_RTOL or (stalled and residual <= _REFINE_TOL)):
         raise SolverError(
-            f"conjugate gradients did not reach rtol={rtol:g}: true "
+            f"conjugate gradients did not reach rtol={_CG_RTOL:g}: true "
             f"residual {residual:.1e} after {count['n']} iterations"
         )
     x = schur.expand(p)

@@ -486,12 +486,20 @@ def _boundary_rules(rules, domains, tags, centroids) -> tuple:
     return [rules[i] if i >= 0 else None for i in winner.tolist()], matched
 
 
-def _split_by_kind(keys, winners) -> tuple[dict, dict]:
-    """Pressure and flux data (key -> value) of the faces a rule won."""
+def _split_by_kind(keys, winners, measures) -> tuple[dict, dict]:
+    """Pressure and flux data (key -> value) of the faces a rule won.  A
+    flux rule whose net flux (density times the face's measure) overflows
+    on a face it won is a config error at its line."""
     data = {"pressure": {}, "flux": {}}
-    for key, rule in zip(keys, winners):
-        if rule is not None:
-            data[rule.kind][key] = rule.value
+    for key, rule, measure in zip(keys, winners, measures):
+        if rule is None:
+            continue
+        if rule.kind == "flux" and not math.isfinite(rule.value * measure):
+            raise ConfigError(
+                f"line {rule.line}: flux {rule.value:g} on a face of "
+                f"measure {measure:g} overflows"
+            )
+        data[rule.kind][key] = rule.value
     return data["pressure"], data["flux"]
 
 
@@ -514,7 +522,10 @@ def resolve_boundary_conditions(
         raise ConfigError(
             f"line {rule.line}: the rule matches no boundary face"
         )
-    pressure, flux = _split_by_kind(keys, winners)
+    measures = [meshes[dom].face_measures[external[dom]] for dom in meshes]
+    pressure, flux = _split_by_kind(
+        keys, winners, np.concatenate(measures).tolist()
+    )
     return BoundaryConditions(pressure=pressure, flux=flux)
 
 
@@ -716,7 +727,9 @@ def equidim_reference(
     winners, _ = _boundary_rules(
         config.bc_rules, homes, tags, mesh.face_centroids()[faces]
     )
-    pressure_bc, flux_bc = _split_by_kind(faces.tolist(), winners)
+    pressure_bc, flux_bc = _split_by_kind(
+        faces.tolist(), winners, mesh.face_measures[faces].tolist()
+    )
     solution = solve_equidim(
         mesh, resist, pressure_bc=pressure_bc, flux_bc=flux_bc
     )

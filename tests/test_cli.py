@@ -124,6 +124,26 @@ def test_out_of_range_coefficient_exits_1_with_line(tmp_path, capsys):
             assert "out of floating-point range" in err, err
 
 
+def test_overflowing_net_flux_exits_1_with_line(tmp_path, capsys):
+    # fault3d's face measures reach about 200, so a finite flux density of
+    # 1e307 has no finite net flux: a config error at its bc line, not an
+    # overflow warning (an error in this suite) and a failed solve
+    bundled = faultflow.bundled_config("fault3d")
+    mesh = bundled.parent / "single_fault_3d.msh"
+    text = bundled.read_text().replace(
+        "geometry mesh single_fault_3d.msh", f"geometry mesh {mesh}"
+    )
+    rule = "bc flux 1e307 on matrix where z <= 0"
+    text += rule + "\n"
+    path = tmp_path / "overflow.cfg"
+    path.write_text(text)
+    assert main(["run", str(path)]) == 1
+    err = capsys.readouterr().err
+    line = text.splitlines().index(rule) + 1
+    assert err.startswith(f"error: line {line}: flux 1e+307 on a face"), err
+    assert err.endswith("overflows\n") and err.count("\n") == 1, err
+
+
 def test_unsolvable_scenario_exits_2(tmp_path, capsys):
     # no pressure anchored anywhere: the solve must refuse, not crash
     path = tmp_path / "floating.cfg"

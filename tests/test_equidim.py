@@ -4,9 +4,15 @@ import numpy as np
 import pytest
 
 from faultflow import equidim, linsolve
+from faultflow.assembly import BoundaryConditions, CoefficientSet, assemble
 from faultflow.equidim import solve_equidim
 from faultflow.linsolve import SolverError, _direct_solve
-from faultflow.mesh import MeshError, build_layered_equidim_mesh
+from faultflow.mesh import (
+    MeshError,
+    SimplicialMesh,
+    build_layered_equidim_mesh,
+    build_two_block_geometry,
+)
 
 
 def boundary_bc(mesh, left_value, right_value):
@@ -131,10 +137,62 @@ def test_bc_validation():
             mesh, 1.0, pressure_bc={left: 1.0}, flux_bc={left: 1.0}
         )
     interior = int(np.flatnonzero(mesh.face_cells[:, 1] >= 0)[0])
-    with pytest.raises(MeshError, match="not a boundary face"):
+    with pytest.raises(MeshError, match="not an external boundary face"):
         solve_equidim(mesh, 1.0, pressure_bc={left: 1.0, interior: 2.0})
     with pytest.raises(MeshError, match="non-finite weight on cell 0"):
         solve_equidim(mesh, np.nan, pressure_bc={left: 1.0})
+
+
+REFUSED = {
+    "both": "face {f} of {where} has both pressure and flux data",
+    "interior": "face {f} of {where} is not an external boundary face",
+    "nan": "face {f} of {where} has non-finite pressure nan",
+    "float_key": "face {f} of {where} is not an external boundary face",
+}
+
+
+@pytest.mark.parametrize("case", list(REFUSED))
+def test_coupled_and_reference_refuse_the_same_data(case):
+    # one boundary-data routine serves the coupled assembly and the
+    # reference, so both refuse the same data with the same line, naming
+    # the face and the domain ("reference" for the one-domain solve)
+    def data(mesh):
+        left = int(mesh.faces_with_tag("left")[0])
+        interior = int(np.flatnonzero(mesh.face_cells[:, 1] >= 0)[0])
+        return {
+            "both": (left, {left: 1.0}, {left: 2.0}),
+            "interior": (interior, {left: 1.0}, {interior: 1.0}),
+            "nan": (left, {left: np.nan}, {}),
+            "float_key": (left + 0.5, {left + 0.5: 1.0}, {}),
+        }[case]
+
+    geometry = build_two_block_geometry(2, 2)
+    coeff = CoefficientSet.for_geometry(geometry, 1.0, 1.0, 1.0)
+    face, pressure, flux = data(geometry.matrix)
+    bc = BoundaryConditions(
+        pressure={("matrix", f): v for f, v in pressure.items()},
+        flux={("matrix", f): v for f, v in flux.items()},
+    )
+    with pytest.raises(MeshError) as coupled:
+        assemble(geometry, coeff, bc)
+    assert str(coupled.value) == REFUSED[case].format(f=face, where="matrix")
+
+    mesh = build_layered_equidim_mesh(0.2, 0.1, eta=0.1, eta_coarse=0.5)
+    face, pressure, flux = data(mesh)
+    with pytest.raises(MeshError) as reference:
+        solve_equidim(mesh, 1.0, pressure_bc=pressure, flux_bc=flux)
+    expected = REFUSED[case].format(f=face, where="reference")
+    assert str(reference.value) == expected
+
+
+def test_overflowing_net_flux_names_its_face():
+    # a finite density on a face of measure 1e100 whose net flux is not
+    # finite: refused before it reaches the solve, without a warning
+    mesh = SimplicialMesh(
+        2, np.array([[0.0, 0.0], [1e100, 0.0], [0.0, 1e100]]), [[0, 1, 2]]
+    )
+    with pytest.raises(MeshError, match="^face 1 of reference: flux 1e"):
+        solve_equidim(mesh, 1.0, pressure_bc={0: 1.0}, flux_bc={1: 1e300})
 
 
 def test_failed_solve_is_a_solver_error(monkeypatch):
