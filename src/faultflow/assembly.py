@@ -48,6 +48,7 @@ The resistances of ``CoefficientSet.resist`` and the sources of
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -442,7 +443,12 @@ def assemble(
     # -- boundary data, one domain at a time ------------------------------
     data = {dom: ({}, {}) for dom in domains}
     for kind, items in enumerate((bc.pressure, bc.flux)):
-        for (dom, face), value in items.items():
+        for key, value in items.items():
+            if not (isinstance(key, tuple) and len(key) == 2):
+                raise MeshError(
+                    f"boundary data key {key!r} is not a (domain, face) pair"
+                )
+            dom, face = key
             if dom not in data:
                 raise MeshError(f"boundary data on unknown domain {dom!r}")
             data[dom][kind][face] = value
@@ -491,8 +497,9 @@ def _boundary_data(mesh: SimplicialMesh, faces, pressure, flux, where: str):
     every other face of ``faces``, NaN on the free dofs) and the cells
     owning a pressure face.  Data on a face outside ``faces`` (a mesh
     boundary face left out lies on the fault plane), on a face listed
-    twice, with a non-integer face or a non-finite value, or whose net
-    flux overflows raises a MeshError naming the face and ``where``."""
+    twice, with a non-integer face, a value that is not a finite float, or
+    whose net flux overflows raises a MeshError naming the face and
+    ``where``."""
     takes = np.zeros(mesh.n_faces, dtype=bool)
     takes[faces] = True
     for kind, items in (("pressure", pressure), ("flux", flux)):
@@ -512,7 +519,14 @@ def _boundary_data(mesh: SimplicialMesh, faces, pressure, flux, where: str):
                 raise MeshError(
                     f"face {face} of {where} has both pressure and flux data"
                 )
-            if not np.isfinite(value):
+            try:
+                finite = math.isfinite(value)
+            except (TypeError, OverflowError):
+                raise MeshError(
+                    f"face {face} of {where} has {kind} {value!r}, not a "
+                    "finite float"
+                ) from None
+            if not finite:
                 raise MeshError(
                     f"face {face} of {where} has non-finite {kind} {value:g}"
                 )

@@ -624,6 +624,40 @@ def build_layered_equidim_mesh(
 # in mesh-file order; one interface per side runs from the matrix to the
 # fault surface
 _FILE_DOMAINS = ("matrix", "fault")
+_DOMAIN_HEADER = "[domain {} dim={}]"
+_INTERFACE_HEADER = (
+    "[interface matrix_damage_{0} from=matrix to=fault side={0}]"
+)
+# every section header a mesh file may hold, in file order, and the
+# section it opens: (kind, domain name or side, dim)
+_HEADERS = {
+    **{
+        _DOMAIN_HEADER.format(name, dim): ("domain", name, dim)
+        for name in _FILE_DOMAINS
+        for dim in (1, 2, 3)
+    },
+    **{_INTERFACE_HEADER.format(s): ("interface", s, None) for s in SIDES},
+}
+_HEADER_FORMS = " or ".join(
+    (
+        _DOMAIN_HEADER.format(f"<{'|'.join(_FILE_DOMAINS)}>", "<1|2|3>"),
+        _INTERFACE_HEADER.format(f"<{'|'.join(SIDES)}>"),
+    )
+)
+# the tokens of a data line: converter, test of the converted line, and
+# what the test asks for
+_NUMBERS = (float, lambda xs: all(map(math.isfinite, xs)), "finite numbers")
+_INDICES = (
+    int, lambda xs: 0 <= min(xs) and max(xs) < 2**63, "integers in [0, 2^63)"
+)
+
+
+def _data_lines(dim: int | None) -> dict:
+    """One rule per data line of a section: letter -> (tokens, count, rows
+    read).  ``dim`` is the domain's dimension, None in an interface."""
+    if dim is None:
+        return {"p": (_INDICES, 2, [])}
+    return {"v": (_NUMBERS, 3, []), "c": (_INDICES, dim + 1, [])}
 
 
 def export_mesh(geometry: MixedDimGeometry, path) -> None:
@@ -638,7 +672,7 @@ def export_mesh(geometry: MixedDimGeometry, path) -> None:
     lines = []
     for name in _FILE_DOMAINS:
         mesh = getattr(geometry, name)
-        lines.append(f"[domain {name} dim={mesh.dim}]")
+        lines.append(_DOMAIN_HEADER.format(name, mesh.dim))
         for v in mesh.vertices:
             lines.append(
                 f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}"
@@ -646,10 +680,7 @@ def export_mesh(geometry: MixedDimGeometry, path) -> None:
         for cell in mesh.cells:
             lines.append("c " + " ".join(str(int(i)) for i in cell))
     for side in SIDES:
-        lines.append(
-            f"[interface matrix_damage_{side} from=matrix to=fault "
-            f"side={side}]"
-        )
+        lines.append(_INTERFACE_HEADER.format(side))
         for h, l in geometry.matrix_damage[side].pairs:
             lines.append(f"p {int(h)} {int(l)}")
     with open(path, "w") as fh:
@@ -659,15 +690,17 @@ def export_mesh(geometry: MixedDimGeometry, path) -> None:
 def import_mesh(path) -> MixedDimGeometry:
     """Read a geometry written in the plain-text mesh format and validate it.
 
-    The file must hold the matrix and fault domains and one matrix/damage
-    interface per side, each once; any other domain, such as a damage
-    layer section, is refused.  The faces that take boundary data
-    (``external_faces``) are tagged ``boundary``.
+    The file holds exactly the sections ``export_mesh`` writes, each once:
+    the matrix and fault domains and one matrix/damage interface per side.
+    A domain section takes ``v`` lines of three finite numbers and ``c``
+    lines of dim + 1 vertex indices, an interface section ``p`` lines of
+    two indices, each an integer in [0, 2^63).  The faces that take
+    boundary data (``external_faces``) are tagged ``boundary``.
 
     Raises MeshFormatError (with line numbers) on unreadable or malformed
-    input, non-finite coordinates included, and TopologyError (naming the
-    entities or the side involved) when the interface pairing or mesh
-    connectivity is inconsistent.
+    input: any other header, line kind, count or token.  Raises
+    TopologyError (naming the entities or the side involved) when the
+    interface pairing or mesh connectivity is inconsistent.
     """
     try:
         with open(path) as fh:
@@ -675,172 +708,74 @@ def import_mesh(path) -> MixedDimGeometry:
     except (OSError, UnicodeDecodeError) as exc:
         raise MeshFormatError(f"cannot read {path}: {exc}") from exc
 
-    domains: dict[str, dict] = {}
-    interfaces: dict[str, dict] = {}
-    current: dict | None = None
-    for lineno, rawline in enumerate(text.split("\n"), start=1):
-        line = rawline.split("#", 1)[0].strip()
-        if not line:
+    # (kind, name or side) -> (dim, rows read by letter, header line)
+    sections: dict[tuple, tuple] = {}
+    rules = None
+    for lineno, line in enumerate(text.split("\n"), start=1):
+        words = line.split("#", 1)[0].split()
+        if not words:
             continue
-        if line.startswith("["):
-            current = _parse_section_header(line, lineno)
-            if current["kind"] == "domain":
-                table, key = domains, current["name"]
-            else:
-                table, key = interfaces, current["side"]
-            if key in table:
+        if words[0][0] == "[":
+            header = " ".join(words)
+            if header not in _HEADERS:
+                kind, _, rest = header.strip("[]").partition(" ")
+                name, _, attrs = rest.partition(" ")
                 raise MeshFormatError(
-                    f"duplicate {current['kind']} {key!r}", lineno
+                    f"unknown {kind or 'section'} {name!r} {attrs}".rstrip()
+                    + f": a section header is {_HEADER_FORMS}",
+                    lineno,
                 )
-            table[key] = current
+            kind, key, dim = _HEADERS[header]
+            if (kind, key) in sections:
+                raise MeshFormatError(f"duplicate {kind} {key!r}", lineno)
+            rules = _data_lines(dim)
+            rows = {letter: rule[2] for letter, rule in rules.items()}
+            sections[kind, key] = (dim, rows, lineno)
             continue
-        if current is None:
+        if rules is None:
             raise MeshFormatError(
                 "data line before any section header", lineno
             )
-        kind = line.split(None, 1)[0]
-        if kind == "v" and current["kind"] == "domain":
-            parts = line.split()
-            if len(parts) != 4:
-                raise MeshFormatError(
-                    "vertex line must be 'v x y z'", lineno
-                )
-            try:
-                vertex = [float(p) for p in parts[1:]]
-            except ValueError:
-                raise MeshFormatError(
-                    "vertex coordinates are not numbers", lineno
-                ) from None
-            if not all(map(math.isfinite, vertex)):
-                raise MeshFormatError(
-                    "vertex coordinates must be finite", lineno
-                )
-            current["verts"].append(vertex)
-        elif kind == "c" and current["kind"] == "domain":
-            parts = line.split()[1:]
-            try:
-                cell = [int(p) for p in parts]
-            except ValueError:
-                raise MeshFormatError(
-                    "cell indices are not integers", lineno
-                ) from None
-            if len(cell) != current["dim"] + 1:
-                raise MeshFormatError(
-                    f"cell needs {current['dim'] + 1} vertices for a "
-                    f"dim={current['dim']} domain, got {len(cell)}",
-                    lineno,
-                )
-            current["cells"].append(cell)
-        elif kind == "p" and current["kind"] == "interface":
-            parts = line.split()[1:]
-            if len(parts) != 2:
-                raise MeshFormatError(
-                    "pair line must be 'p higher lower'", lineno
-                )
-            try:
-                current["pairs"].append((int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise MeshFormatError(
-                    "pair indices are not integers", lineno
-                ) from None
-        else:
+        try:
+            (convert, valid, _), count, read = rules[words[0]]
+            values = list(map(convert, words[1:]))
+            ok = len(values) == count and valid(values)
+        except (KeyError, ValueError):
+            ok = False
+        if not ok:
             raise MeshFormatError(
-                f"unexpected line kind {kind!r} in "
-                f"{current['kind']} section",
+                f"{header} takes only "
+                + " and ".join(
+                    f"'{letter}' lines of {count} {tokens[2]}"
+                    for letter, (tokens, count, _) in rules.items()
+                ),
                 lineno,
             )
+        read.append(values)
 
-    missing = [n for n in _FILE_DOMAINS if n not in domains]
-    if missing:
-        raise MeshFormatError(f"missing domain section {missing[0]!r}")
-    missing = [s for s in SIDES if s not in interfaces]
-    if missing:
-        raise MeshFormatError(
-            f"missing interface section for matrix_damage side {missing[0]}"
-        )
+    for kind, key, _ in _HEADERS.values():
+        if (kind, key) not in sections:
+            raise MeshFormatError(f"missing {kind} section {key!r}")
 
     meshes = {}
     for name in _FILE_DOMAINS:
-        sec = domains[name]
-        if not sec["cells"]:
+        dim, rows, line = sections["domain", name]
+        if not rows["c"]:
             raise MeshFormatError(f"domain {name!r} has no cells")
         try:
             meshes[name] = SimplicialMesh(
-                sec["dim"],
-                np.array(sec["verts"]),
-                np.array(sec["cells"], dtype=np.int64),
+                dim, np.array(rows["v"]), np.array(rows["c"], dtype=np.int64)
             )
         except MeshError as exc:
-            raise MeshFormatError(
-                f"domain {name!r}: {exc}", sec["line"]
-            ) from exc
+            raise MeshFormatError(f"domain {name!r}: {exc}", line) from exc
 
-    matrix, fault = meshes["matrix"], meshes["fault"]
-    matrix_damage = {s: InterfaceMap(interfaces[s]["pairs"], s) for s in SIDES}
-    geom = MixedDimGeometry(matrix, fault, matrix_damage)
+    matrix_damage = {
+        s: InterfaceMap(sections["interface", s][1]["p"], s) for s in SIDES
+    }
+    geom = MixedDimGeometry(meshes["matrix"], meshes["fault"], matrix_damage)
     geom.validate()
     for name, mesh in meshes.items():
         mesh.boundary_tags.update(
             dict.fromkeys(geom.external_faces(name).tolist(), "boundary")
         )
     return geom
-
-
-def _parse_section_header(line: str, lineno: int) -> dict:
-    if not line.endswith("]"):
-        raise MeshFormatError("unterminated section header", lineno)
-    body = line[1:-1].strip()
-    parts = body.split()
-    if not parts:
-        raise MeshFormatError("empty section header", lineno)
-    kind = parts[0]
-    if kind == "domain":
-        if len(parts) != 3 or not parts[2].startswith("dim="):
-            raise MeshFormatError(
-                "domain header must be '[domain <name> dim=<d>]'", lineno
-            )
-        name = parts[1]
-        if name not in _FILE_DOMAINS:
-            raise MeshFormatError(
-                f"unknown domain {name!r} (expected one of "
-                f"{', '.join(_FILE_DOMAINS)})",
-                lineno,
-            )
-        try:
-            dim = int(parts[2][4:])
-        except ValueError:
-            raise MeshFormatError("malformed dim= attribute", lineno) from None
-        return {
-            "kind": "domain",
-            "name": name,
-            "dim": dim,
-            "verts": [],
-            "cells": [],
-            "line": lineno,
-        }
-    if kind == "interface":
-        attrs = dict(
-            p.split("=", 1) for p in parts[2:] if "=" in p
-        )
-        if len(parts) < 2 or set(attrs) != {"from", "to", "side"}:
-            raise MeshFormatError(
-                "interface header must be '[interface <name> from=<domain> "
-                "to=<domain> side=<left|right>]'",
-                lineno,
-            )
-        if (attrs["from"], attrs["to"]) != ("matrix", "fault"):
-            raise MeshFormatError(
-                f"interface from {attrs['from']!r} to {attrs['to']!r}: "
-                "only matrix to fault is known",
-                lineno,
-            )
-        if attrs["side"] not in SIDES:
-            raise MeshFormatError(
-                f"unknown interface side {attrs['side']!r}", lineno
-            )
-        return {
-            "kind": "interface",
-            "side": attrs["side"],
-            "pairs": [],
-        }
-    raise MeshFormatError(f"unknown section kind {kind!r}", lineno)

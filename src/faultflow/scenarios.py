@@ -661,16 +661,25 @@ def _solve(config: RunConfig) -> tuple:
 
 
 def run_scenario(config: RunConfig | str | Path, output_dir=None) -> RunResult:
-    """Build, solve, and optionally write one scenario."""
+    """Build, solve, and optionally write one scenario.  An output path
+    that is not a directory is a ConfigError before the solve; so are
+    outputs that cannot be written."""
     if not isinstance(config, RunConfig):
         config = load_config(config)
+    out_dir = _resolve_output_dir(config, output_dir)
+    if out_dir is not None and out_dir.exists() and not out_dir.is_dir():
+        raise ConfigError(f"cannot write {out_dir}: it is not a directory")
     system, solution, report, conservation = _solve(config)
     diagnostics = _diagnostics(system, solution, report, conservation)
 
     outputs = []
-    out_dir = _resolve_output_dir(config, output_dir)
     if out_dir is not None:
-        outputs = _write_outputs(out_dir, config, system, solution, diagnostics)
+        try:
+            outputs = _write_outputs(
+                out_dir, config, system, solution, diagnostics
+            )
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out_dir}: {exc}") from None
     return RunResult(
         config=config,
         geometry=system.geometry,
@@ -773,11 +782,14 @@ def sweep(
     resolution ``eps / 4``, and record the error bracket.  Every thickness
     and spacing must be finite and positive, the fault structure (two
     damage layers and the core, 3 eps) narrower than the unit blocks, and
-    1/h and 1/h2 must lie within 1e-9 of a whole number of cells
-    (ConfigError otherwise).
+    1/h and 1/h2 must lie within 1e-9 of a whole number of cells, and
+    ``output_path`` may not be a directory (ConfigError otherwise, before
+    any solve; so is a table that cannot be written).
     """
     if config.geometry_kind != "two_block":
         raise ConfigError("sweep needs a two_block scenario")
+    if output_path is not None and Path(output_path).is_dir():
+        raise ConfigError(f"cannot write {output_path}: it is a directory")
     eps_values = list(eps_values)
     for name, values in (
         ("eps", eps_values),
@@ -841,23 +853,26 @@ def sweep(
                 }
             )
     if output_path is not None:
-        output_path = Path(output_path)
-        output_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(output_path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(
-                ["eps", "case", "mode", "e_tilde", "delta_p", "lower", "upper"]
-            )
-            for row in rows:
+        try:
+            Path(output_path).parent.mkdir(parents=True, exist_ok=True)
+            with open(output_path, "w", newline="") as fh:
+                writer = csv.writer(fh)
                 writer.writerow(
-                    [
-                        _float_repr(row["eps"]),
-                        row["case"],
-                        row["mode"],
-                        _float_repr(row["e_tilde"]),
-                        _float_repr(row["delta_p"]),
-                        _float_repr(row["lower"]),
-                        _float_repr(row["upper"]),
-                    ]
+                    ["eps", "case", "mode", "e_tilde", "delta_p", "lower",
+                     "upper"]
                 )
+                for row in rows:
+                    writer.writerow(
+                        [
+                            _float_repr(row["eps"]),
+                            row["case"],
+                            row["mode"],
+                            _float_repr(row["e_tilde"]),
+                            _float_repr(row["delta_p"]),
+                            _float_repr(row["lower"]),
+                            _float_repr(row["upper"]),
+                        ]
+                    )
+        except OSError as exc:
+            raise ConfigError(f"cannot write {output_path}: {exc}") from None
     return rows

@@ -210,6 +210,18 @@ def test_check_mesh_refuses_overflowing_coordinates(tmp_path, capsys):
     assert "is too large" in err
 
 
+def test_check_mesh_refuses_index_beyond_int64(tmp_path, capsys):
+    mesh_path = tmp_path / "huge_index.msh"
+    export_mesh(build_two_block_geometry(2, 2), mesh_path)
+    lines = mesh_path.read_text().splitlines()
+    at = next(i for i, line in enumerate(lines) if line.startswith("c "))
+    lines[at] = "c 0 1 99999999999999999999"
+    mesh_path.write_text("\n".join(lines) + "\n")
+    assert main(["check-mesh", str(mesh_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: line {at + 1}: ") and err.count("\n") == 1
+
+
 # a literal-mode config whose schur solution violates conservation: the
 # damage resistances dwarf the matrix rows, so a norm-wise CG stop leaves
 # residuals of order one in the matrix cells
@@ -284,30 +296,69 @@ def test_unreadable_input_is_a_one_line_error(tmp_path, capsys, argv, code):
 
 def test_sweep_writes_table(mini_config, tmp_path, capsys):
     csv_path = tmp_path / "table.csv"
-    code = main(
-        [
-            "sweep",
-            str(mini_config),
-            "--eps",
-            "0.1",
-            "--h",
-            "0.25",
-            "--h2",
-            "0.125",
-            "--eta-coarse",
-            "0.125",
-            "--modes",
-            "literal",
-            "--out",
-            str(csv_path),
-        ]
-    )
+    argv = [
+        "sweep",
+        str(mini_config),
+        "--eps",
+        "0.1",
+        "--h",
+        "0.25",
+        "--h2",
+        "0.125",
+        "--eta-coarse",
+        "0.125",
+        "--modes",
+        "literal",
+        "--out",
+    ]
+    code = main([*argv, str(csv_path)])
     assert code == 0
     out = capsys.readouterr().out
     assert out.startswith("eps case mode e_tilde")
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "eps,case,mode,e_tilde,delta_p,lower,upper"
     assert len(lines) == 2
+    # a table under a file cannot be written: one line, exit 1
+    assert main([*argv, str(csv_path / "table.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {csv_path / 'table.csv'}: ")
+    assert err.count("\n") == 1, err
+
+
+def _no_solve(*args, **kwargs):
+    raise AssertionError("solved before checking --out")
+
+
+def test_run_out_on_a_file_is_refused_before_solving(
+    mini_config, tmp_path, capsys, monkeypatch
+):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    monkeypatch.setattr("faultflow.scenarios._solve", _no_solve)
+    assert main(["run", str(mini_config), "--out", str(taken)]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {taken}: it is not a directory\n"
+
+
+def test_run_outputs_that_cannot_be_written_are_a_one_line_error(
+    mini_config, tmp_path, capsys
+):
+    # the directory exists, but a directory takes the summary's name
+    (tmp_path / "summary.csv").mkdir()
+    assert main(["run", str(mini_config), "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {tmp_path}: ")
+    assert err.count("\n") == 1, err
+
+
+def test_sweep_out_on_a_directory_is_refused_before_solving(
+    mini_config, tmp_path, capsys, monkeypatch
+):
+    monkeypatch.setattr("faultflow.scenarios.equidim_reference", _no_solve)
+    argv = ["sweep", str(mini_config), "--eps", "0.1", "--out", str(tmp_path)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: cannot write {tmp_path}: it is a directory\n"
 
 
 def test_sweep_rejects_bad_eps(mini_config, capsys):

@@ -148,10 +148,16 @@ REFUSED = {
     "interior": "face {f} of {where} is not an external boundary face",
     "nan": "face {f} of {where} has non-finite pressure nan",
     "float_key": "face {f} of {where} is not an external boundary face",
+    "string": "face {f} of {where} has pressure 'x', not a finite float",
+    "none": "face {f} of {where} has pressure None, not a finite float",
+    "complex": "face {f} of {where} has flux 1j, not a finite float",
 }
+# the coupled data is keyed by (domain, face) and the reference's by face
+# alone, so a key that is not a pair can only reach the coupled assembly
+MISKEYED = {"int_key": 3, "triple_key": ("matrix", 3, 0)}
 
 
-@pytest.mark.parametrize("case", list(REFUSED))
+@pytest.mark.parametrize("case", [*REFUSED, *MISKEYED])
 def test_coupled_and_reference_refuse_the_same_data(case):
     # one boundary-data routine serves the coupled assembly and the
     # reference, so both refuse the same data with the same line, naming
@@ -164,10 +170,21 @@ def test_coupled_and_reference_refuse_the_same_data(case):
             "interior": (interior, {left: 1.0}, {interior: 1.0}),
             "nan": (left, {left: np.nan}, {}),
             "float_key": (left + 0.5, {left + 0.5: 1.0}, {}),
+            "string": (left, {left: "x"}, {}),
+            "none": (left, {left: None}, {}),
+            "complex": (left, {}, {left: 1j}),
         }[case]
 
     geometry = build_two_block_geometry(2, 2)
     coeff = CoefficientSet.for_geometry(geometry, 1.0, 1.0, 1.0)
+    if case in MISKEYED:
+        key = MISKEYED[case]
+        with pytest.raises(MeshError) as coupled:
+            assemble(geometry, coeff, BoundaryConditions(pressure={key: 1.0}))
+        assert str(coupled.value) == (
+            f"boundary data key {key!r} is not a (domain, face) pair"
+        )
+        return
     face, pressure, flux = data(geometry.matrix)
     bc = BoundaryConditions(
         pressure={("matrix", f): v for f, v in pressure.items()},

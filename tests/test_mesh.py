@@ -366,6 +366,12 @@ def test_3d_generator_reproduces_bundled_mesh(tmp_path):
     assert path.read_bytes() == BUNDLED_3D.read_bytes()
 
 
+def test_bundled_mesh_round_trips_byte_for_byte(tmp_path):
+    path = tmp_path / "single_fault_3d.msh"
+    export_mesh(import_mesh(BUNDLED_3D), path)
+    assert path.read_bytes() == BUNDLED_3D.read_bytes()
+
+
 def test_import_reports_parse_errors_with_line(tmp_path):
     path = tmp_path / "bad.msh"
     for bad in (
@@ -439,7 +445,55 @@ def test_import_refuses_sides_sharing_matrix_faces(tmp_path):
         import_mesh(path)
 
 
-MANGLE_TOKENS = ("0", "-1", "1", "99999", "x", "1.5", "nan", "inf", "1e400")
+@pytest.mark.parametrize(
+    "section,at,line",
+    [
+        ("[domain matrix", 0, "[domain matrix dim=2"),  # unterminated
+        ("[domain matrix", 0, "[domain matrix dim=two]"),
+        ("[domain matrix", 0, "[domain matrix dim=2.0]"),
+        ("[domain matrix", 0, "[domain matrix dim=4]"),
+        ("[domain matrix", 0, "[block matrix dim=2]"),  # unknown kind
+        ("[domain matrix", 0, "[domain matrix]"),
+        ("[interface matrix_damage_left", 0,
+         "[interface anything from=matrix to=fault side=left]"),
+        ("[interface matrix_damage_left", 0,
+         "[interface matrix_damage_left from=fault to=fault side=left]"),
+        ("[interface matrix_damage_left", 0,
+         "[interface matrix_damage_left from=matrix to=matrix side=left]"),
+        ("[interface matrix_damage_left", 0,
+         "[interface matrix_damage_left from=matrix to=fault side=right]"),
+        ("[interface matrix_damage_left", 0,
+         "[interface matrix_damage_left from=matrix to=fault]"),
+        ("[interface matrix_damage_right", 0,
+         "[interface matrix_damage_right from=matrix to=fault side=middle]"),
+        # data lines, inserted after the header
+        ("[domain matrix", 1, "c 0 1 99999999999999999999"),
+        ("[domain matrix", 1, "c 0 1 -1"),
+        ("[domain matrix", 1, "c 0 1 2 3"),
+        ("[domain matrix", 1, "p 0 1"),
+        ("[interface matrix_damage_left", 1, "p 0 99999999999999999999"),
+        ("[interface matrix_damage_left", 1, "p -1 0"),
+        ("[interface matrix_damage_left", 1, "p 0 1.0"),
+        ("[interface matrix_damage_left", 1, "v 0 0 0"),
+    ],
+)
+def test_import_refuses_what_export_does_not_write(tmp_path, section, at,
+                                                    line):
+    # a header other than the ones export_mesh writes, and a data line of
+    # the wrong kind, count or token, is one MeshFormatError at its line
+    path, lines = _exported_lines(tmp_path)
+    header = next(i for i, text in enumerate(lines)
+                  if text.startswith(section))
+    lines[header + at : header + 1] = [line]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshFormatError, match=f"^line {header + at + 1}: "):
+        import_mesh(path)
+
+
+MANGLE_TOKENS = (
+    "0", "-1", "1", "99999", "99999999999999999999", "x", "1.5", "nan",
+    "inf", "1e400",
+)
 
 
 @st.composite
