@@ -3,8 +3,11 @@
 All meshes store vertex coordinates in 3D (unused components zero) so that
 segment, triangle, and tetrahedral meshes share one container.  Faces are the
 codimension-one facets of the cells, derived at construction with a
-deterministic ordering (lexicographic in the sorted vertex tuple); the facet
-opposite local vertex ``i`` of a cell is local face ``i``.  Orientation
+deterministic ordering (lexicographic in the sorted vertex tuple, found
+through one int64 key per tuple, so a mesh of dimension d takes fewer than
+2^(63/d) vertices: 2^21 = 2,097,152 for tetrahedra); the facet opposite
+local vertex ``i`` of a cell is local face ``i``.  Measures, normals and
+the cell and face centroids are derived once, at construction.  Orientation
 comes from ownership: the lowest-indexed cell on a face owns it, and the
 orientation sign of a cell on a face is +1 where it owns the face and -1 on
 the other cell.  ``face_normals`` holds one unit normal per face, its
@@ -60,10 +63,8 @@ class TopologyError(MeshError):
 
 
 def _pad3(vertices: np.ndarray) -> np.ndarray:
-    """Return an (n, 3) float copy of vertex coordinates, zero-padding."""
-    vertices = np.asarray(vertices, dtype=float)
-    if vertices.ndim != 2:
-        raise MeshError("vertex array must be two-dimensional")
+    """Return an (n, 3) float copy of (n, k) vertex coordinates,
+    zero-padding."""
     if vertices.shape[1] > 3:
         raise MeshError("vertex coordinates have more than three components")
     out = np.zeros((vertices.shape[0], 3))
@@ -71,14 +72,39 @@ def _pad3(vertices: np.ndarray) -> np.ndarray:
     return out
 
 
+def _column_sum(points: np.ndarray) -> np.ndarray:
+    """Sum over axis 1 of (n, k, 3) ``points``, added column by column from
+    the first: the order ``points.sum(axis=1)`` adds in, so the result is
+    the same to the bit, without the cost of a reduction over a short
+    axis."""
+    total = points[:, 0]
+    for j in range(1, points.shape[1]):
+        total = total + points[:, j]
+    return total
+
+
 def _norm(v: np.ndarray) -> np.ndarray:
-    """Length of each row of ``v``, taken of the row scaled by the power
-    of two of its largest component, so that no square overflows: finite
-    wherever the length itself is, infinite where a component is.  The
-    scaling is exact, so a length that did not overflow is unchanged."""
-    _, exponent = np.frexp(np.max(np.abs(v), axis=1))
-    scaled = np.ldexp(v, -exponent[:, None])
-    return np.ldexp(np.linalg.norm(scaled, axis=1), exponent)
+    """Length of each row of the (n, 3) array ``v``.
+
+    The plain sqrt(x*x + y*y + z*z) is kept on rows whose length lies
+    inside (1e-130, 1e150).  The other rows (zero, tiny, huge, infinite or
+    NaN) are first scaled by the power of two of their largest component,
+    so that no square overflows: finite wherever the length itself is,
+    infinite where a component is.  The scaling is exact, and inside that
+    range no square overflows and a square that underflows is too small
+    against the largest one to change the rounded sum, so both forms agree
+    to the bit there.  Below about 1e-146 they need not: a square rounded
+    to a subnormal can break a rounding tie the other way.
+    """
+    x, y, z = v.T
+    length = np.sqrt(x * x + y * y + z * z)
+    far = ~((length > 1e-130) & (length < 1e150))
+    w = v[far]
+    a = np.abs(w)
+    _, exponent = np.frexp(np.maximum(np.maximum(a[:, 0], a[:, 1]), a[:, 2]))
+    x, y, z = np.ldexp(w, -exponent[:, None]).T
+    length[far] = np.ldexp(np.sqrt(x * x + y * y + z * z), exponent)
+    return length
 
 
 def _facet_geometry(facets: np.ndarray, apexes: np.ndarray):
@@ -111,7 +137,7 @@ def _facet_geometry(facets: np.ndarray, apexes: np.ndarray):
         e, length = off_span(facets[:, k] - facets[:, 0])
         measure *= length
         basis.append(e / np.where(length > 0, length, np.inf)[:, None])
-    perp, _ = off_span(facets.mean(axis=1) - apexes)
+    perp, _ = off_span(_column_sum(facets) / facets.shape[1] - apexes)
     return measure / math.factorial(facets.shape[1] - 1), perp
 
 
@@ -135,8 +161,13 @@ class SimplicialMesh:
         Optional (n_cells,) array of region labels (used by the layered
         equi-dimensional mesh).
 
-    Derived arrays (faces, measures, normals, orientation signs) are computed
-    once here and marked read-only; meshes are immutable after construction.
+    Derived arrays (faces, measures, normals, orientation signs, and the
+    centroids ``cell_centroids()`` and ``face_centroids()`` return) are
+    computed once here and marked read-only; meshes are immutable after
+    construction.  Faces are numbered through one int64 key per sorted
+    vertex tuple, so a mesh with n_vertices^dim >= 2^63 (in 3D, 2^21 =
+    2,097,152 vertices or more) is refused with a MeshError before its
+    vertices are copied.
     Orientation comes from ownership: ``cell_face_signs`` is +1 on the faces
     a cell owns (the lowest-indexed cell on a face) and -1 elsewhere.
     ``face_normals`` holds one unit normal per face, taken from its owner;
@@ -156,6 +187,15 @@ class SimplicialMesh:
         if dim not in (1, 2, 3):
             raise MeshError(f"unsupported mesh dimension {dim}")
         self.dim = dim
+        vertices = np.asarray(vertices, dtype=float)
+        if vertices.ndim != 2:
+            raise MeshError("vertex array must be two-dimensional")
+        # refused before any copy: faces are numbered by one int64 key
+        if len(vertices) ** dim >= 2**63:
+            raise MeshError(
+                f"{len(vertices)} vertices are too many for a mesh of "
+                f"dimension {dim}: its face keys need vertices^{dim} < 2^63"
+            )
         self.vertices = _pad3(vertices)
         infinite = ~np.isfinite(self.vertices).all(axis=1)
         if infinite.any():
@@ -191,6 +231,8 @@ class SimplicialMesh:
             self.cell_measures,
             self.face_measures,
             self.face_normals,
+            self._cell_centroids,
+            self._face_centroids,
         ):
             arr.flags.writeable = False
 
@@ -218,11 +260,15 @@ class SimplicialMesh:
             dtype=np.int64,
         )
         flat = np.sort(self.cells[:, keep].reshape(-1, d), axis=1)
-        self.faces, first, inverse, counts = np.unique(
-            flat, axis=0, return_index=True, return_inverse=True,
-            return_counts=True,
+        # one key per sorted vertex tuple, v0 nv^(d-1) + ... + v(d-1): keys
+        # sort as the tuples do, and __init__ keeps them below 2^63
+        key = flat[:, 0]
+        for j in range(1, d):
+            key = key * self.n_vertices + flat[:, j]
+        _, first, inverse, counts = np.unique(
+            key, return_index=True, return_inverse=True, return_counts=True
         )
-        inverse = inverse.ravel()
+        self.faces = flat[first]
         nf = len(self.faces)
         self.cell_faces = inverse.reshape(nc, d + 1).astype(np.int64)
 
@@ -237,6 +283,8 @@ class SimplicialMesh:
         cv = V[self.cells]  # (nc, d+1, 3)
         apex = V[self.cells.ravel()]  # (nc * (d+1), 3), per slot
         fv = V[self.faces]  # (nf, d, 3)
+        self._cell_centroids = _column_sum(cv) / (d + 1)
+        self._face_centroids = _column_sum(fv) / d
         # finite coordinates can still overflow here; what does is refused
         with np.errstate(over="ignore", invalid="ignore"):
             base, perp = _facet_geometry(cv[:, 1:], cv[:, 0])
@@ -286,10 +334,12 @@ class SimplicialMesh:
     # ------------------------------------------------------------------ #
 
     def cell_centroids(self) -> np.ndarray:
-        return self.vertices[self.cells].mean(axis=1)
+        """(n_cells, 3) cell centroids, derived at construction."""
+        return self._cell_centroids
 
     def face_centroids(self) -> np.ndarray:
-        return self.vertices[self.faces].mean(axis=1)
+        """(n_faces, 3) face centroids, derived at construction."""
+        return self._face_centroids
 
     def boundary_faces(self) -> np.ndarray:
         """Indices of faces adjacent to exactly one cell."""
@@ -694,7 +744,8 @@ def import_mesh(path) -> MixedDimGeometry:
     the matrix and fault domains and one matrix/damage interface per side.
     A domain section takes ``v`` lines of three finite numbers and ``c``
     lines of dim + 1 vertex indices, an interface section ``p`` lines of
-    two indices, each an integer in [0, 2^63).  The faces that take
+    two indices, each an integer in [0, 2^63); a data line is ASCII and
+    holds no ``_``, as ``export_mesh`` writes it.  The faces that take
     boundary data (``external_faces``) are tagged ``boundary``.
 
     Raises MeshFormatError (with line numbers) on unreadable or malformed
@@ -712,7 +763,8 @@ def import_mesh(path) -> MixedDimGeometry:
     sections: dict[tuple, tuple] = {}
     rules = None
     for lineno, line in enumerate(text.split("\n"), start=1):
-        words = line.split("#", 1)[0].split()
+        data = line.split("#", 1)[0]
+        words = data.split()
         if not words:
             continue
         if words[0][0] == "[":
@@ -738,6 +790,10 @@ def import_mesh(path) -> MixedDimGeometry:
             )
         try:
             (convert, valid, _), count, read = rules[words[0]]
+            # int and float also read underscores and non-ASCII digits,
+            # which export_mesh never writes
+            if not data.isascii() or "_" in data:
+                raise ValueError(data)
             values = list(map(convert, words[1:]))
             ok = len(values) == count and valid(values)
         except (KeyError, ValueError):

@@ -783,8 +783,9 @@ def sweep(
     and spacing must be finite and positive, the fault structure (two
     damage layers and the core, 3 eps) narrower than the unit blocks, and
     1/h and 1/h2 must lie within 1e-9 of a whole number of cells, and
-    ``output_path`` may not be a directory (ConfigError otherwise, before
-    any solve; so is a table that cannot be written).
+    ``output_path`` may not be a directory and its parent directory must
+    exist or be creatable (ConfigError otherwise, before any solve; so is
+    a table that cannot be written).
     """
     if config.geometry_kind != "two_block":
         raise ConfigError("sweep needs a two_block scenario")
@@ -821,6 +822,11 @@ def sweep(
                 f"whole number of cells, got {spacing!r}"
             )
         grids.append(round(cells))
+    if output_path is not None:
+        try:
+            Path(output_path).parent.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {output_path}: {exc}") from None
     rows = []
     for eps in eps_values:
         for mode in modes:
@@ -854,7 +860,6 @@ def sweep(
             )
     if output_path is not None:
         try:
-            Path(output_path).parent.mkdir(parents=True, exist_ok=True)
             with open(output_path, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(

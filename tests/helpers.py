@@ -9,6 +9,8 @@ scheme reproduces exactly on the aligned two-block grids.
 ``rt0_local_mass`` and ``rt0_interpolate`` are the per-cell and per-face
 oracles the element-kernel tests compare the vectorized kernels against;
 ``locate_cells_oracle`` is the cell-by-cell oracle of point location.
+``faces_by_row_unique`` and ``scaled_norm`` are the forms the mesh once
+used, kept as references for the face keys and the guarded norm.
 ``check_vtk_file`` re-reads a VTK file and verifies its structure, which
 keeps the writer honest without a third-party reader.
 """
@@ -228,6 +230,36 @@ def locate_cells_oracle(mesh: SimplicialMesh, points) -> np.ndarray:
         inside = np.flatnonzero(np.all(bary >= -1e-12, axis=1))
         best.append(inside[0] if inside.size else -1)
     return np.array(best, dtype=np.int64)
+
+
+def faces_by_row_unique(dim: int, cells) -> tuple:
+    """Faces, cell_faces, cell_face_signs and face_cells of the cells as
+    ``SimplicialMesh`` derived them with ``np.unique`` over the rows of
+    sorted vertex tuples: faces in lexicographic order, local face i
+    opposite local vertex i, the first slot of a face owning it."""
+    cells = np.asarray(cells, dtype=np.int64)
+    nc, d = len(cells), dim
+    keep = [[j for j in range(d + 1) if j != i] for i in range(d + 1)]
+    flat = np.sort(cells[:, keep].reshape(-1, d), axis=1)
+    faces, first, inverse = np.unique(
+        flat, axis=0, return_index=True, return_inverse=True
+    )
+    inverse = inverse.ravel()
+    slots = np.arange(len(flat))
+    owned = first[inverse] == slots
+    face_cells = np.full((len(faces), 2), -1, dtype=np.int64)
+    face_cells[:, 0] = first // (d + 1)
+    face_cells[inverse[~owned], 1] = slots[~owned] // (d + 1)
+    signs = np.where(owned, 1, -1).reshape(nc, d + 1)
+    return faces, inverse.reshape(nc, d + 1), signs, face_cells
+
+
+def scaled_norm(v: np.ndarray) -> np.ndarray:
+    """Length of each row of ``v``, taken of the row scaled by the power
+    of two of its largest component."""
+    _, exponent = np.frexp(np.max(np.abs(v), axis=1))
+    scaled = np.ldexp(v, -exponent[:, None])
+    return np.ldexp(np.linalg.norm(scaled, axis=1), exponent)
 
 
 class _Scanner:

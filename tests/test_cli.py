@@ -294,7 +294,7 @@ def test_unreadable_input_is_a_one_line_error(tmp_path, capsys, argv, code):
     assert "cannot read" in err
 
 
-def test_sweep_writes_table(mini_config, tmp_path, capsys):
+def test_sweep_writes_table(mini_config, tmp_path, capsys, monkeypatch):
     csv_path = tmp_path / "table.csv"
     argv = [
         "sweep",
@@ -318,7 +318,10 @@ def test_sweep_writes_table(mini_config, tmp_path, capsys):
     lines = csv_path.read_text().splitlines()
     assert lines[0] == "eps,case,mode,e_tilde,delta_p,lower,upper"
     assert len(lines) == 2
-    # a table under a file cannot be written: one line, exit 1
+    # a table under a file cannot be written: one line, exit 1, before
+    # any solve
+    monkeypatch.setattr("faultflow.scenarios._solve", _no_solve)
+    monkeypatch.setattr("faultflow.scenarios.equidim_reference", _no_solve)
     assert main([*argv, str(csv_path / "table.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot write {csv_path / 'table.csv'}: ")

@@ -1,11 +1,13 @@
 """Mesh, geometry, and mesh-format tests."""
 
 import importlib.util
+import itertools
+import math
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from faultflow.mesh import (
@@ -14,12 +16,15 @@ from faultflow.mesh import (
     MeshFormatError,
     SimplicialMesh,
     TopologyError,
+    _norm,
     _square_grid,
     build_layered_equidim_mesh,
     build_two_block_geometry,
     export_mesh,
     import_mesh,
 )
+from faultflow.scenarios import build_geometry, bundled_config, load_config
+from helpers import faces_by_row_unique, scaled_norm
 
 ROOT = Path(__file__).resolve().parents[1]
 BUNDLED_3D = ROOT / "src" / "faultflow" / "data" / "single_fault_3d.msh"
@@ -153,6 +158,137 @@ def test_huge_cells_build_or_are_refused_in_one_line():
         SimplicialMesh(1, [[1.7e308, 0.0], [-1.7e308, 0.0]], [[0, 1]])
     with pytest.raises(MeshError, match="vertex 1 has a non-finite"):
         SimplicialMesh(1, [[0.0, 0.0], [np.inf, 0.0]], [[0, 1]])
+
+
+def _breaks(rng, n):
+    return np.cumsum(rng.uniform(0.2, 1.0, n + 1))
+
+
+def _kuhn_grid(xs, ys, zs):
+    """Tensor grid on the breaks, each box split into the six tetrahedra
+    along the paths from its lowest to its highest corner."""
+    X, Y, Z = np.meshgrid(xs, ys, zs, indexing="ij")
+    verts = np.column_stack([X.ravel(), Y.ravel(), Z.ravel()])
+    ids = np.arange(X.size).reshape(X.shape)
+    n = [len(xs) - 1, len(ys) - 1, len(zs) - 1]
+
+    def corner(off):
+        return ids[tuple(slice(o, o + k) for o, k in zip(off, n))].ravel()
+
+    cells = []
+    for path in itertools.permutations(range(3)):
+        off = [0, 0, 0]
+        tet = [corner(off)]
+        for axis in path:
+            off[axis] += 1
+            tet.append(corner(off))
+        cells.append(np.column_stack(tet))
+    return verts, np.vstack(cells)
+
+
+def _random_mesh(rng, dim):
+    """A conforming mesh of random size with its vertices renumbered, a few
+    unused vertices added, its cells reordered and each cell's vertices
+    permuted."""
+    if dim == 1:
+        n = int(rng.integers(1, 30))
+        verts = np.column_stack([_breaks(rng, n), np.zeros(n + 1)])
+        cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
+    elif dim == 2:
+        verts, cells = _square_grid(
+            *(_breaks(rng, int(rng.integers(1, 9))) for _ in range(2))
+        )
+    else:
+        verts, cells = _kuhn_grid(
+            *(_breaks(rng, int(rng.integers(1, 4))) for _ in range(3))
+        )
+    unused = rng.uniform(size=(rng.integers(0, 5), verts.shape[1]))
+    verts = np.vstack([verts, unused])
+    order = rng.permutation(len(verts))
+    renumbered = np.empty_like(verts)
+    renumbered[order] = verts
+    cells = order[cells][rng.permutation(len(cells))]
+    cells = np.take_along_axis(
+        cells, rng.permuted(np.broadcast_to(np.arange(dim + 1), cells.shape),
+                            axis=1), axis=1
+    )
+    return SimplicialMesh(dim, renumbered, cells)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3])
+def test_face_keys_derive_what_row_unique_derives(dim):
+    # faces numbered by one int64 key per sorted vertex tuple come out as
+    # np.unique over the tuples (axis=0) numbered them
+    rng = np.random.default_rng(dim)
+    for _ in range(20):
+        mesh = _random_mesh(rng, dim)
+        expected = faces_by_row_unique(dim, mesh.cells)
+        for name, want in zip(
+            ("faces", "cell_faces", "cell_face_signs", "face_cells"), expected
+        ):
+            got = getattr(mesh, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
+def test_face_keys_too_large_are_refused_before_copying(monkeypatch):
+    # 2^21 vertices make a tetrahedral mesh's keys reach 2^63; np.zeros
+    # touches no memory, and the copy _pad3 makes is never reached
+    def no_copy(vertices):
+        raise AssertionError("vertices copied")
+
+    monkeypatch.setattr("faultflow.mesh._pad3", no_copy)
+    with pytest.raises(MeshError) as refused:
+        SimplicialMesh(3, np.zeros((2**21, 3)), [[0, 1, 2, 3]])
+    message = str(refused.value)
+    assert message.startswith("2097152 vertices are too many for a mesh of "
+                              "dimension 3")
+    assert "\n" not in message
+    with pytest.raises(AssertionError, match="vertices copied"):
+        SimplicialMesh(3, np.zeros((2**21 - 1, 3)), [[0, 1, 2, 3]])
+
+
+_COMPONENT = st.tuples(
+    st.one_of(
+        st.floats(1e-320, 1e300),
+        st.builds(math.ldexp, st.floats(0.5, 1.0), st.integers(-1063, 996)),
+        st.sampled_from([0.0, math.inf, math.nan]),
+    ),
+    st.booleans(),
+).map(lambda drawn: -drawn[0] if drawn[1] else drawn[0])
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.tuples(_COMPONENT, _COMPONENT, _COMPONENT), min_size=1,
+                max_size=12))
+# a square rounded to a subnormal breaks a rounding tie the other way:
+# the plain form is 1 ulp below the scaled one on this row (length 3.5e-148)
+@example([(3.2961520671446874e-156, 0.0, 3.547571423892657e-148)])
+@example([(1e300, 1e300, 0.0), (1e-320, 0.0, -1e-320), (0.0, 0.0, 0.0)])
+def test_guarded_norm_is_the_scaled_norm_to_the_bit(rows):
+    v = np.array(rows, dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        got, want = _norm(v), scaled_norm(v)
+    # every length is bit-identical; a NaN's sign bit is not defined
+    nan = np.isnan(want)
+    assert np.array_equal(np.isnan(got), nan)
+    assert got[~nan].tobytes() == want[~nan].tobytes()
+
+
+def test_centroids_are_stored_read_only():
+    meshes = [build_layered_equidim_mesh(1e-2, 1e-2, eta=2.5e-3,
+                                         eta_coarse=1 / 48)]
+    for name in ("case_i", "case_ii", "case_iii", "fault3d"):
+        geometry = build_geometry(load_config(bundled_config(name)))
+        meshes += [geometry.matrix, geometry.fault]
+    for mesh in meshes:
+        for method, entities in (
+            (mesh.cell_centroids, mesh.cells),
+            (mesh.face_centroids, mesh.faces),
+        ):
+            got = method()
+            assert got is method() and not got.flags.writeable
+            expected = mesh.vertices[entities].mean(axis=1)
+            assert got.tobytes() == expected.tobytes()
 
 
 def test_face_on_three_cells_is_refused():
@@ -470,6 +606,10 @@ def test_import_refuses_sides_sharing_matrix_faces(tmp_path):
         ("[domain matrix", 1, "c 0 1 99999999999999999999"),
         ("[domain matrix", 1, "c 0 1 -1"),
         ("[domain matrix", 1, "c 0 1 2 3"),
+        # int and float read these as "c 0 3 4" and "v 1 0 0"
+        ("[domain matrix", 1, "c 0_00 3 4"),
+        ("[domain matrix", 1, "c 0 \u0663 4"),
+        ("[domain matrix", 1, "v \uff11 0 0"),
         ("[domain matrix", 1, "p 0 1"),
         ("[interface matrix_damage_left", 1, "p 0 99999999999999999999"),
         ("[interface matrix_damage_left", 1, "p -1 0"),
@@ -485,7 +625,7 @@ def test_import_refuses_what_export_does_not_write(tmp_path, section, at,
     header = next(i for i, text in enumerate(lines)
                   if text.startswith(section))
     lines[header + at : header + 1] = [line]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     with pytest.raises(MeshFormatError, match=f"^line {header + at + 1}: "):
         import_mesh(path)
 
