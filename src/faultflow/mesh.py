@@ -710,6 +710,39 @@ def _data_lines(dim: int | None) -> dict:
     return {"v": (_NUMBERS, 3, []), "c": (_INDICES, dim + 1, [])}
 
 
+def _write_rows(fh, values: np.ndarray, lead: str = "") -> None:
+    """Write the rows of an (n,) or (n, k) array to the text file ``fh``,
+    one line each, its tokens separated by single spaces and preceded by
+    ``lead`` when one is given.  No rows, no line.
+
+    A float token is ``repr(float(x))``, the shortest text that reads back
+    to the same double, and an integer token ``str(int(i))``.  Each
+    distinct token is formatted once: floats are told apart by their bit
+    patterns (the int64 view, under which -0.0 and 0.0 differ, as their
+    texts do), indices are looked up in a table of ``str(i)``.  The lines
+    are joined column by column, with no Python list per row.
+    """
+    if not len(values):
+        return
+    rows = values.reshape(len(values), -1)
+    if rows.dtype.kind == "f":
+        bits = np.ascontiguousarray(rows, dtype=np.float64).view(np.int64)
+        keys, index = np.unique(bits.ravel(), return_inverse=True)
+        words = map(repr, keys.view(np.float64).tolist())
+    elif 0 <= rows.min() and rows.max() < rows.size:
+        index, words = rows, map(str, range(int(rows.max()) + 1))
+    else:
+        # a table of every index up to the largest would outgrow the rows
+        keys, index = np.unique(rows.ravel(), return_inverse=True)
+        words = map(str, keys.tolist())
+    table = np.array(list(words), dtype=object)
+    columns = table[index.reshape(rows.shape)].T.tolist()
+    if lead:
+        columns.insert(0, [lead] * len(rows))
+    fh.write("\n".join(map(" ".join, zip(*columns))))
+    fh.write("\n")
+
+
 def export_mesh(geometry: MixedDimGeometry, path) -> None:
     """Write the geometry in the plain-text mesh format.
 
@@ -718,23 +751,18 @@ def export_mesh(geometry: MixedDimGeometry, path) -> None:
     indices valid under the deterministic face derivation of SimplicialMesh.
     The file holds the matrix and fault domains and one matrix/damage map
     per side, which pairs matrix faces with cells of the fault surface.
+    Numbers are written as ``repr`` writes them, so each reads back to the
+    same double, -0.0 included.
     """
-    lines = []
-    for name in _FILE_DOMAINS:
-        mesh = getattr(geometry, name)
-        lines.append(_DOMAIN_HEADER.format(name, mesh.dim))
-        for v in mesh.vertices:
-            lines.append(
-                f"v {float(v[0])!r} {float(v[1])!r} {float(v[2])!r}"
-            )
-        for cell in mesh.cells:
-            lines.append("c " + " ".join(str(int(i)) for i in cell))
-    for side in SIDES:
-        lines.append(_INTERFACE_HEADER.format(side))
-        for h, l in geometry.matrix_damage[side].pairs:
-            lines.append(f"p {int(h)} {int(l)}")
     with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+        for name in _FILE_DOMAINS:
+            mesh = getattr(geometry, name)
+            fh.write(_DOMAIN_HEADER.format(name, mesh.dim) + "\n")
+            _write_rows(fh, mesh.vertices, "v")
+            _write_rows(fh, mesh.cells, "c")
+        for side in SIDES:
+            fh.write(_INTERFACE_HEADER.format(side) + "\n")
+            _write_rows(fh, geometry.matrix_damage[side].pairs, "p")
 
 
 def import_mesh(path) -> MixedDimGeometry:

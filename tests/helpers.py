@@ -11,6 +11,9 @@ oracles the element-kernel tests compare the vectorized kernels against;
 ``locate_cells_oracle`` is the cell-by-cell oracle of point location.
 ``faces_by_row_unique`` and ``scaled_norm`` are the forms the mesh once
 used, kept as references for the face keys and the guarded norm.
+``vtk_text_by_value`` and ``mesh_text_by_value`` are the text the VTK and
+mesh-file writers once built one value at a time, kept as references for
+their formatting of each distinct value once.
 ``check_vtk_file`` re-reads a VTK file and verifies its structure, which
 keeps the writer honest without a third-party reader.
 """
@@ -260,6 +263,65 @@ def scaled_norm(v: np.ndarray) -> np.ndarray:
     _, exponent = np.frexp(np.max(np.abs(v), axis=1))
     scaled = np.ldexp(v, -exponent[:, None])
     return np.ldexp(np.linalg.norm(scaled, axis=1), exponent)
+
+
+def _row(values) -> str:
+    return " ".join(f"{float(x)!r}" for x in values)
+
+
+def vtk_text_by_value(mesh: SimplicialMesh, cell_data: dict,
+                      title: str) -> str:
+    """The text of the VTK file of ``mesh`` and its valid ``cell_data``,
+    formatted one value at a time: each float by ``repr(float(x))``, each
+    index by ``str(int(i))``."""
+    n_per = mesh.dim + 1
+    lines = [
+        "# vtk DataFile Version 2.0",
+        title,
+        "ASCII",
+        "DATASET UNSTRUCTURED_GRID",
+        f"POINTS {mesh.n_vertices} double",
+        *(_row(v) for v in mesh.vertices),
+        f"CELLS {mesh.n_cells} {mesh.n_cells * (n_per + 1)}",
+        *(
+            " ".join([str(n_per)] + [str(int(i)) for i in c])
+            for c in mesh.cells
+        ),
+        f"CELL_TYPES {mesh.n_cells}",
+        *[str({1: 3, 2: 5, 3: 10}[mesh.dim])] * mesh.n_cells,
+    ]
+    if cell_data:
+        lines.append(f"CELL_DATA {mesh.n_cells}")
+    for name, values in cell_data.items():
+        arr = np.asarray(values, dtype=float)
+        if arr.ndim == 1:
+            lines += [f"SCALARS {name} double 1", "LOOKUP_TABLE default"]
+            lines.extend(f"{float(v)!r}" for v in arr)
+        else:
+            lines.append(f"VECTORS {name} double")
+            lines.extend(_row(v) for v in arr)
+    return "\n".join(lines) + "\n"
+
+
+def mesh_text_by_value(geometry) -> str:
+    """The text of the mesh file of ``geometry``, formatted one value at a
+    time as ``vtk_text_by_value`` formats it."""
+    lines = []
+    for name in ("matrix", "fault"):
+        mesh = getattr(geometry, name)
+        lines.append(f"[domain {name} dim={mesh.dim}]")
+        lines.extend(f"v {_row(v)}" for v in mesh.vertices)
+        lines.extend(
+            "c " + " ".join(str(int(i)) for i in c) for c in mesh.cells
+        )
+    for side in SIDES:
+        lines.append(
+            f"[interface matrix_damage_{side} from=matrix to=fault "
+            f"side={side}]"
+        )
+        pairs = geometry.matrix_damage[side].pairs
+        lines.extend(f"p {int(h)} {int(l)}" for h, l in pairs)
+    return "\n".join(lines) + "\n"
 
 
 class _Scanner:

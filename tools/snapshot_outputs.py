@@ -7,7 +7,9 @@ For each bundled scenario (case_i, case_ii, case_iii, fault3d) and each
 solver route (saddle, schur), ``run_scenario`` writes its VTK files and
 ``summary.csv`` into ``DIR/<case>_<route>/``.  For case_i, case_ii and
 case_iii, ``sweep`` writes the thickness-sweep table at eps 1e-2, 5e-3 and
-2.5e-3, both coefficient modes, into ``DIR/sweep_<case>.csv``.
+2.5e-3, both coefficient modes, into ``DIR/sweep_<case>.csv``.  The
+geometries of case_ii and fault3d are written by ``export_mesh`` into
+``DIR/mesh_<case>.msh``.
 
 Two snapshots taken from two checkouts are compared with
 ``tools/compare_snapshots.py BEFORE AFTER``, which allows round-off
@@ -22,7 +24,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from faultflow.mesh import export_mesh  # noqa: E402
 from faultflow.scenarios import (  # noqa: E402
+    build_geometry,
     bundled_config,
     load_config,
     run_scenario,
@@ -32,6 +36,7 @@ from faultflow.scenarios import (  # noqa: E402
 CASES_2D = ("case_i", "case_ii", "case_iii")
 ROUTES = ("saddle", "schur")
 SWEEP_EPS = (1e-2, 5e-3, 2.5e-3)
+MESHES = ("case_ii", "fault3d")
 
 
 def main(argv=None) -> int:
@@ -53,6 +58,9 @@ def main(argv=None) -> int:
             SWEEP_EPS,
             output_path=out / f"sweep_{name}.csv",
         )
+    for name in MESHES:
+        geometry = build_geometry(load_config(bundled_config(name)))
+        export_mesh(geometry, out / f"mesh_{name}.msh")
     print(f"wrote {out}")
     return 0
 
