@@ -15,8 +15,8 @@ from .assembly import (
     assemble,
     coefficients_from_mode,
 )
-from .equidim import EquiDimSolution, solve_equidim
 from .linsolve import (
+    EquiDimSolution,
     MixedSolution,
     PressureSchur,
     SolverError,
@@ -25,6 +25,7 @@ from .linsolve import (
     conservation_residuals,
     global_balance,
     interface_law_residuals,
+    solve_equidim,
     solve_saddle,
     solve_schur,
 )

@@ -32,7 +32,7 @@ from both sides.  The hybridized solve eliminates the same table cell by
 cell.
 
 Boundary data goes through one routine, ``_boundary_data``, per domain
-here and for the one-domain reference of ``equidim``: it refuses bad face
+here and for the one-domain reference of ``solve_equidim``: it refuses bad face
 data and gives the load of the weakly imposed pressures, the eliminated
 net fluxes and the anchor cells.  Essential (flux) data is imposed by
 symmetric elimination: unit diagonal rows with right-hand-side fixups, so

@@ -26,6 +26,12 @@ Two routes lead to the same solution:
 Both routes first check the anchoring from the structure of C, and both
 recover every block of ``BlockSystem.offsets``; diagnostics below measure
 local conservation, the two interface laws, and the global budget.
+
+``solve_equidim`` is the equi-dimensional reference: the one-domain case
+of the saddle route, solved on the layered mesh of
+``build_layered_equidim_mesh`` with the strips at their physical width.
+Compared with the reduced solution, it measures the model error of the
+reduction.
 """
 
 from __future__ import annotations
@@ -38,13 +44,25 @@ import scipy.sparse as sps
 import scipy.sparse.linalg as spla
 from scipy.sparse.csgraph import connected_components
 
-from .assembly import SIDES, BlockSystem, LocalEntries
+from .assembly import (
+    SIDES,
+    BlockSystem,
+    LocalEntries,
+    _boundary_data,
+    _eliminate_field,
+    _saddle_matrix,
+    _scatter,
+    rt0_entries,
+)
 from .fem import rt0_eval_centroids
+from .mesh import MeshError, SimplicialMesh
 
 __all__ = [
     "SolverError",
     "MixedSolution",
     "solve_saddle",
+    "EquiDimSolution",
+    "solve_equidim",
     "PressureSchur",
     "build_pressure_schur",
     "solve_schur",
@@ -278,14 +296,12 @@ def _direct_solve(solve, b, K) -> np.ndarray:
 
 @dataclass
 class MixedSolution:
-    """The unknowns of one solve by domain and side, views into the
-    global vector [u; p] through ``BlockSystem.offsets``."""
+    """The unknowns of one solve that callers read, views into the global
+    vector [u; p] through ``BlockSystem.offsets``."""
 
     matrix_flux: np.ndarray
     matrix_pressure: np.ndarray
-    damage_flux: dict[str, np.ndarray]
     damage_pressure: dict[str, np.ndarray]
-    fault_flux: np.ndarray
     fault_pressure: np.ndarray
     exchange_flux: dict[str, np.ndarray]
     vector: np.ndarray
@@ -298,9 +314,7 @@ class MixedSolution:
         return cls(
             matrix_flux=block("matrix_flux"),
             matrix_pressure=block("matrix_pressure"),
-            damage_flux={s: block(f"damage_{s}_flux") for s in SIDES},
             damage_pressure={s: block(f"damage_{s}_pressure") for s in SIDES},
-            fault_flux=block("fault_flux"),
             fault_pressure=block("fault_pressure"),
             exchange_flux={s: block(f"exchange_{s}_flux") for s in SIDES},
             vector=x,
@@ -321,6 +335,49 @@ def solve_saddle(system: BlockSystem) -> MixedSolution:
     return MixedSolution.from_vector(system, x)
 
 
+@dataclass
+class EquiDimSolution:
+    flux: np.ndarray
+    pressure: np.ndarray
+
+
+def solve_equidim(
+    mesh: SimplicialMesh,
+    resist,
+    pressure_bc: dict[int, float] | None = None,
+    flux_bc: dict[int, float] | None = None,
+) -> EquiDimSolution:
+    """Mixed lowest-order solve of one Darcy domain.
+
+    ``pressure_bc`` maps boundary faces to weakly imposed pressures;
+    ``flux_bc`` maps boundary faces to outward flux densities, eliminated
+    essentially; unlisted boundary faces are zero-flux.  The coupled
+    assembly's ``_boundary_data`` (domain ``reference``) checks the data
+    and refuses it as ``assemble`` does; no boundary pressure is a
+    MeshError too.  The solve is the one-domain case of the coupled saddle
+    route: the hybridized solve of the mesh's RT0 faces, refined against
+    the full operator.  Raises SolverError when the direct solve fails.
+    """
+    g, fixed, anchors = _boundary_data(
+        mesh, mesh.boundary_faces(), pressure_bc or {}, flux_bc or {},
+        "reference",
+    )
+    if not len(anchors):
+        raise MeshError(
+            "at least one boundary pressure is needed to anchor the solve"
+        )
+
+    # the one-domain case of the coupled system
+    table = [rt0_entries(mesh, resist)]
+    F, C = _scatter(table, mesh.n_faces, mesh.n_cells)
+    F, C, g, f = _eliminate_field(F, C, g, np.zeros(mesh.n_cells), fixed)
+    solve = _hybrid_solver(table, ~np.isnan(fixed), mesh.n_cells)
+    x = _direct_solve(solve, np.concatenate([g, f]), _saddle_matrix(F, C))
+    return EquiDimSolution(
+        flux=x[: mesh.n_faces], pressure=x[mesh.n_faces :]
+    )
+
+
 class PressureSchur:
     """Matrix-free pressure reduction C' F^-1 C of one assembled system."""
 
@@ -336,11 +393,6 @@ class PressureSchur:
     def rhs(self) -> np.ndarray:
         s = self.system
         return s.C.T @ self._lu.solve(s.g) - s.f
-
-    def operator(self) -> spla.LinearOperator:
-        return spla.LinearOperator(
-            (self.n, self.n), matvec=self.apply, dtype=float
-        )
 
     def to_dense(self) -> np.ndarray:
         out = np.empty((self.n, self.n))
@@ -416,9 +468,9 @@ def solve_schur(system: BlockSystem) -> tuple[MixedSolution, dict]:
         raise SolverError(
             f"lumped complement factorization failed: {exc}"
         ) from exc
-    M = spla.LinearOperator(
-        (schur.n, schur.n), matvec=lumped.solve, dtype=float
-    )
+    shape = (schur.n, schur.n)
+    S = spla.LinearOperator(shape, matvec=schur.apply, dtype=float)
+    M = spla.LinearOperator(shape, matvec=lumped.solve, dtype=float)
 
     count = {"n": 0}
 
@@ -440,7 +492,7 @@ def solve_schur(system: BlockSystem) -> tuple[MixedSolution, dict]:
             # info 0 means CG stopped inside its budget, so a restart
             # always has at least one iteration left
             p, info = spla.cg(
-                schur.operator(),
+                S,
                 r,
                 x0=p,
                 rtol=_CG_RTOL,

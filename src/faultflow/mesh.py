@@ -586,12 +586,10 @@ def build_two_block_geometry(n_x: int, n_y: int) -> MixedDimGeometry:
     return geom
 
 
-def _graded_breaks(length: float, h_near: float, h_far: float,
-                   grow: float = 1.5) -> np.ndarray:
-    """Interval sizes filling ``length``, starting at ``h_near`` and growing
-    geometrically up to ``h_far``; rescaled so they sum exactly to length."""
-    if length <= 0:
-        return np.zeros(0)
+def _graded_breaks(length: float, h_near: float, h_far: float) -> np.ndarray:
+    """Interval sizes filling ``length`` > 0, starting at ``h_near`` and
+    growing by 1.5 per interval up to ``h_far``; rescaled so they sum
+    exactly to length."""
     if h_far <= h_near * (1 + 1e-12):
         n = max(1, math.ceil(length / h_near))
         return np.full(n, length / n)
@@ -602,7 +600,7 @@ def _graded_breaks(length: float, h_near: float, h_far: float,
         h = min(h, h_far)
         sizes.append(h)
         acc += h
-        h *= grow
+        h *= 1.5
     sizes = np.array(sizes)
     return sizes * (length / sizes.sum())
 

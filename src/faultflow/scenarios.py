@@ -57,7 +57,6 @@ from .assembly import (
     assemble,
     coefficients_from_mode,
 )
-from .equidim import solve_equidim
 from .linsolve import (
     _REFINE_TOL,
     MixedSolution,
@@ -66,6 +65,7 @@ from .linsolve import (
     conservation_residuals,
     global_balance,
     interface_law_residuals,
+    solve_equidim,
     solve_saddle,
     solve_schur,
 )
@@ -123,7 +123,6 @@ class Predicate:
     term is an axis name (x, y, z) or a float constant."""
 
     chains: tuple
-    text: str
 
     def mask(self, points: np.ndarray) -> np.ndarray:
         pts = np.asarray(points, dtype=float)
@@ -136,9 +135,6 @@ class Predicate:
             for lhs, op, rhs in chain:
                 out &= _OPS[op](value(lhs), value(rhs))
         return out
-
-    def __str__(self) -> str:
-        return self.text
 
 
 def _parse_predicate(text: str, line: int) -> Predicate:
@@ -170,7 +166,7 @@ def _parse_predicate(text: str, line: int) -> Predicate:
                 (terms[i], ops[i], terms[i + 1]) for i in range(len(ops))
             )
         )
-    return Predicate(chains=tuple(chains), text=text.strip())
+    return Predicate(chains=tuple(chains))
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +195,6 @@ class BcRule:
 @dataclass
 class RunConfig:
     name: str
-    geometry_kind: str = "two_block"
     nx: int | None = None
     ny: int | None = None
     mesh_path: str | None = None
@@ -215,6 +210,9 @@ class RunConfig:
 
 def _number(token: str, line: int, what: str) -> float:
     try:
+        # float also reads underscores and non-ASCII digits
+        if not token.isascii() or "_" in token:
+            raise ValueError(token)
         value = float(token)
     except ValueError:
         raise ConfigError(f"line {line}: {what} {token!r} is not a number") from None
@@ -252,12 +250,12 @@ def parse_config(text: str, name: str = "scenario",
                 )
             predicate = None
             if len(parts) == 3:
-                where = parts[2]
-                if not where.startswith("where"):
+                word, *where = parts[2].split(None, 1)
+                if word != "where":
                     raise ConfigError(
-                        f"line {lineno}: expected 'where', got {where!r}"
+                        f"line {lineno}: expected 'where', got {parts[2]!r}"
                     )
-                predicate = _parse_predicate(where[5:], lineno)
+                predicate = _parse_predicate("".join(where), lineno)
             config.coeff_rules.append(
                 CoeffRule(region, value, predicate, lineno)
             )
@@ -275,12 +273,14 @@ def parse_config(text: str, name: str = "scenario",
                 )
             kind, value_token, target, where = m.groups()
             value = _number(value_token, lineno, "value")
-            domain, _, tag = target.partition(":")
+            domain, colon, tag = target.partition(":")
             if domain not in _BC_DOMAINS:
                 raise ConfigError(
                     f"line {lineno}: unknown domain {domain!r} "
                     f"(one of {', '.join(_BC_DOMAINS)})"
                 )
+            if colon and not tag:
+                raise ConfigError(f"line {lineno}: {target!r} has no tag")
             tag = tag or None
             if tag and where:
                 raise ConfigError(
@@ -307,13 +307,12 @@ def parse_config(text: str, name: str = "scenario",
             if not parts:
                 raise ConfigError(f"line {lineno}: geometry needs a kind")
             if parts[0] == "two_block":
-                config.geometry_kind = "two_block"
+                config.mesh_path = None
             elif parts[0] == "mesh":
                 if len(parts) != 2:
                     raise ConfigError(
                         f"line {lineno}: geometry mesh needs a file path"
                     )
-                config.geometry_kind = "mesh"
                 config.mesh_path = parts[1].strip()
             else:
                 raise ConfigError(
@@ -372,7 +371,7 @@ def parse_config(text: str, name: str = "scenario",
 
     if not saw_geometry:
         raise ConfigError("no geometry directive in the scenario")
-    if config.geometry_kind == "two_block" and (
+    if config.mesh_path is None and (
         config.nx is None or config.ny is None
     ):
         raise ConfigError("two_block geometry needs nx and ny")
@@ -406,7 +405,7 @@ def bundled_config(name: str) -> Path:
 
 
 def build_geometry(config: RunConfig) -> MixedDimGeometry:
-    if config.geometry_kind == "two_block":
+    if config.mesh_path is None:
         return build_two_block_geometry(config.nx, config.ny)
     return import_mesh(config.base_dir / config.mesh_path)
 
@@ -660,12 +659,10 @@ def _solve(config: RunConfig) -> tuple:
     return system, solution, report, conservation
 
 
-def run_scenario(config: RunConfig | str | Path, output_dir=None) -> RunResult:
+def run_scenario(config: RunConfig, output_dir=None) -> RunResult:
     """Build, solve, and optionally write one scenario.  An output path
     that is not a directory is a ConfigError before the solve; so are
     outputs that cannot be written."""
-    if not isinstance(config, RunConfig):
-        config = load_config(config)
     out_dir = _resolve_output_dir(config, output_dir)
     if out_dir is not None and out_dir.exists() and not out_dir.is_dir():
         raise ConfigError(f"cannot write {out_dir}: it is not a directory")
@@ -708,7 +705,7 @@ def equidim_reference(
     rest; rules that match no face here are ignored.  Returns (mesh,
     solution).
     """
-    if config.geometry_kind != "two_block":
+    if config.mesh_path is not None:
         raise ConfigError(
             "the equi-dimensional reference needs a two_block scenario"
         )
@@ -787,7 +784,7 @@ def sweep(
     exist or be creatable (ConfigError otherwise, before any solve; so is
     a table that cannot be written).
     """
-    if config.geometry_kind != "two_block":
+    if config.mesh_path is not None:
         raise ConfigError("sweep needs a two_block scenario")
     if output_path is not None and Path(output_path).is_dir():
         raise ConfigError(f"cannot write {output_path}: it is a directory")

@@ -25,7 +25,8 @@ def write_vtk(path, mesh: SimplicialMesh, cell_data: dict | None = None,
 
     Raises MeshFormatError, before the file is opened, on a title that is
     not one non-blank line, a field name that is not a string, is empty or
-    holds whitespace, or a field of another shape.
+    holds whitespace, or a field that is not bool, integer or float or has
+    another shape.
     """
     if title.splitlines() != [title] or title.isspace():
         raise MeshFormatError(f"title {title!r} is not one non-blank line")
@@ -36,7 +37,13 @@ def write_vtk(path, mesh: SimplicialMesh, cell_data: dict | None = None,
                 f"field name {name!r} is not a string, is empty or contains "
                 "spaces, tabs or line breaks"
             )
-        arr = np.asarray(values, dtype=float)
+        arr = np.asarray(values)
+        if arr.dtype.kind not in "biuf":
+            raise MeshFormatError(
+                f"field {name!r} has dtype {arr.dtype}, expected bool, "
+                "integer or float values"
+            )
+        arr = arr.astype(float, copy=False)
         if arr.shape == (mesh.n_cells,):
             header = f"SCALARS {name} double 1\nLOOKUP_TABLE default\n"
         elif arr.shape == (mesh.n_cells, 3):

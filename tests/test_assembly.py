@@ -648,6 +648,7 @@ def test_non_finite_or_misshapen_data_names_its_cell_or_domain():
     for sources, message in (
         ({"fault": np.ones((n, 1))}, "fault source has shape"),
         ({"fault": source}, "non-finite fault source on cell 1"),
+        ({"core": 1.0}, "source on unknown domain 'core'"),
     ):
         with pytest.raises(MeshError, match=message):
             assemble(geometry, coeff, BoundaryConditions(), sources)

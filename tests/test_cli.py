@@ -367,6 +367,8 @@ def test_sweep_out_on_a_directory_is_refused_before_solving(
 def test_sweep_rejects_bad_eps(mini_config, capsys):
     assert main(["sweep", str(mini_config), "--eps", "fast"]) == 1
     assert "--eps" in capsys.readouterr().err
+    assert main(["sweep", str(mini_config), "--eps", ","]) == 1
+    assert "--eps needs at least one value" in capsys.readouterr().err
     # every thickness and spacing must be finite and positive
     for extra, name in (
         (["--eps", "nan"], "eps"),

@@ -3,10 +3,9 @@
 import numpy as np
 import pytest
 
-from faultflow import equidim, linsolve
+from faultflow import linsolve
 from faultflow.assembly import BoundaryConditions, CoefficientSet, assemble
-from faultflow.equidim import solve_equidim
-from faultflow.linsolve import SolverError, _direct_solve
+from faultflow.linsolve import SolverError, _direct_solve, solve_equidim
 from faultflow.mesh import (
     MeshError,
     SimplicialMesh,
@@ -112,7 +111,7 @@ def test_high_contrast_strips_match_dense_solve(monkeypatch):
         systems.append((K, b))
         return _direct_solve(solve, b, K)
 
-    monkeypatch.setattr(equidim, "_direct_solve", spy)
+    monkeypatch.setattr(linsolve, "_direct_solve", spy)
     mesh = build_layered_equidim_mesh(0.2, 0.1, eta=0.05, eta_coarse=0.25)
     resist = {"matrix": 1.0, "damage_left": 1e6, "damage_right": 1e6,
               "fault": 1e-6}

@@ -509,6 +509,44 @@ def test_unconverged_refinement_is_a_solver_error(monkeypatch):
         solve_saddle(system)
 
 
+def test_failed_local_steps_and_factorizations_are_solver_errors(
+    monkeypatch,
+):
+    system = interface_case(3)
+
+    def singular(*args, **kwargs):
+        raise RuntimeError("Factor is exactly singular")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linsolve.spla, "splu", singular)
+        with pytest.raises(SolverError, match="flux block factorization"):
+            solve_schur(system)
+
+    # a local resistance that cannot be inverted, and one whose inverse
+    # is not finite
+    def no_inverse(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(linsolve.np.linalg, "inv", no_inverse)
+        with pytest.raises(SolverError, match="local elimination failed"):
+            solve_saddle(system)
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            linsolve.np.linalg, "inv", lambda a: np.full(a.shape, np.nan)
+        )
+        with pytest.raises(SolverError, match="elimination produced non-fin"):
+            solve_saddle(system)
+
+    # a CG iterate whose true residual is not finite
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            linsolve.spla, "cg", lambda A, b, **kw: (np.full_like(b, np.inf), 0)
+        )
+        with pytest.raises(SolverError, match="left a non-finite residual"):
+            solve_schur(system)
+
+
 def hybridized_solve(system):
     """The hybridized solve of ``system``, without refinement."""
     fixed = np.zeros(system.F.shape[0], dtype=bool)

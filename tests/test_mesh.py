@@ -140,6 +140,33 @@ def test_degenerate_cell_is_refused(dim, vertices):
         SimplicialMesh(dim, np.array(vertices, float), [list(range(dim + 1))])
 
 
+TRIANGLE = [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]]
+
+
+@pytest.mark.parametrize(
+    "args,kwargs,message",
+    [
+        ((4, TRIANGLE, [[0, 1, 2]]), {}, "unsupported mesh dimension 4"),
+        ((2, [0.0, 1.0, 2.0], [[0, 1, 2]]), {}, "two-dimensional"),
+        ((2, [[0, 0, 0, 0], [1, 0, 0, 0], [0, 1, 0, 0]], [[0, 1, 2]]), {},
+         "more than three components"),
+        ((2, TRIANGLE, [[0, 1]]), {}, r"must be \(n, 3\) for dimension 2"),
+        ((2, TRIANGLE, [[0, 1, 3]]), {}, "vertex that does not exist"),
+        ((2, TRIANGLE, [[0, 1, 2]]), {"cell_regions": ["matrix"] * 2},
+         "cell_regions length"),
+    ],
+)
+def test_mesh_arguments_are_refused(args, kwargs, message):
+    with pytest.raises(MeshError, match=message):
+        SimplicialMesh(*args, **kwargs)
+
+
+def test_tag_on_an_unknown_face_is_refused():
+    mesh = SimplicialMesh(2, TRIANGLE, [[0, 1, 2]], boundary_tags={3: "top"})
+    with pytest.raises(MeshError, match="unknown face 3"):
+        mesh.validate()
+
+
 def test_huge_cells_build_or_are_refused_in_one_line():
     # a well-shaped right triangle: legs of 1e150 measure 5e299, legs of
     # 1e200 overflow (the suite turns numpy warnings into errors); a
@@ -414,6 +441,50 @@ def test_geometry_validation_catches_tampering():
         geom.validate()
 
 
+def test_interface_map_side_must_be_left_or_right():
+    with pytest.raises(TopologyError, match="unknown interface side 'up'"):
+        InterfaceMap(np.zeros((1, 2)), "up")
+
+
+def test_fault_of_the_wrong_dimension_is_refused():
+    geom = build_two_block_geometry(2, 2)
+    geom.fault = geom.matrix
+    with pytest.raises(TopologyError, match="one dimension below"):
+        geom.validate()
+
+
+@pytest.mark.parametrize(
+    "column,pick,message",
+    [
+        (0, lambda g: -1, "map right: matrix face index out of range"),
+        (1, lambda g: 2, "map right: surface cell index out of range"),
+        (1, lambda g: 0, "map right: duplicate surface cell 0"),
+        (0, lambda g: np.flatnonzero(g.matrix.face_cells[:, 1] >= 0)[0],
+         "in map right is interior"),
+        (0, lambda g: g.matrix.faces_with_tag("top")[0],
+         "on side right have different measures"),
+        (0, lambda g: g.matrix.faces_with_tag("left")[0],
+         "on side right are not"),
+    ],
+    ids=["face_range", "cell_range", "duplicate", "interior", "measure",
+         "place"],
+)
+def test_map_pairs_that_break_the_contract_are_refused(column, pick,
+                                                       message):
+    geom = build_two_block_geometry(3, 2)
+    pairs = geom.matrix_damage["right"].pairs.copy()
+    pairs[1, column] = pick(geom)
+    geom.matrix_damage["right"] = InterfaceMap(pairs, "right")
+    with pytest.raises(TopologyError, match=message):
+        geom.validate()
+
+
+@pytest.mark.parametrize("n_x,n_y", [(0, 1), (1, 0)])
+def test_two_block_grid_needs_a_cell_per_direction(n_x, n_y):
+    with pytest.raises(MeshError, match="at least one cell per direction"):
+        build_two_block_geometry(n_x, n_y)
+
+
 # ------------------------------------------------------------------ #
 #  layered equi-dimensional mesh
 # ------------------------------------------------------------------ #
@@ -455,9 +526,18 @@ def test_layered_mesh_region_containment():
             assert inside(xs).all()
 
 
-def test_layered_mesh_rejects_unresolvable_fault():
-    with pytest.raises(MeshError, match="fault"):
-        build_layered_equidim_mesh(1e-2, 1e-2, 2e-2)
+@pytest.mark.parametrize(
+    "eps_mu,eps_gamma,eta,message",
+    [
+        (1e-2, 1e-2, 2e-2, "exceeds the fault thickness"),
+        (0.0, 1e-2, 1e-2, "thicknesses must be positive"),
+        (1e-2, -1e-2, 1e-2, "thicknesses must be positive"),
+        (0.3, 0.4, 0.1, "wider than the blocks"),
+    ],
+)
+def test_layered_mesh_rejects_bad_strips(eps_mu, eps_gamma, eta, message):
+    with pytest.raises(MeshError, match=message):
+        build_layered_equidim_mesh(eps_mu, eps_gamma, eta)
 
 
 def test_layered_mesh_grading_keeps_conformity():
@@ -695,6 +775,16 @@ def test_import_reports_missing_pair(tmp_path):
     with pytest.raises(
         TopologyError, match="map left has 1 pairs for 2 surface cells"
     ):
+        import_mesh(path)
+
+
+def test_import_refuses_a_domain_with_no_cells(tmp_path):
+    path, lines = _exported_lines(tmp_path)
+    start = lines.index(_section(lines, "[domain fault")[0])
+    end = start + len(_section(lines, "[domain fault"))
+    lines[start:end] = [x for x in lines[start:end] if not x.startswith("c ")]
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(MeshFormatError, match="domain 'fault' has no cells"):
         import_mesh(path)
 
 

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from faultflow.mesh import build_two_block_geometry
 from faultflow.scenarios import (
     ConfigError,
+    build_geometry,
     bundled_config,
     equidim_reference,
     load_config,
@@ -85,7 +86,24 @@ def test_parse_errors_carry_line_numbers():
         ("geometry two_block\ncoeff matrix 1 where 1 < 2", "line 2"),
         ("geometry two_block\ncoeff matrix 1 where y <", "line 2"),
         ("geometry two_block\nmode wild", "line 2"),
+        ("geometry two_block\nsolver fast", "line 2"),
+        ("geometry", "line 1"),
+        ("geometry two_block\nname", "line 2"),
+        ("geometry two_block\ncoeff matrix", "line 2"),
         ("geometry two_block\nnx 2.5", "line 2"),
+        ("geometry two_block\nnx 1_0", "line 2"),
+        ("geometry two_block\nnx \u0661\u0660", "line 2"),
+        ("geometry two_block\ncoeff matrix 1_0", "line 2"),
+        ("geometry two_block\ncoeff fault 2 wherex > 0.5", "line 2"),
+        ("geometry two_block\nbc pressure 1 on matrix:", "line 2"),
+        ("geometry two_block\ncoeff matrix 1 where x = 1", "line 2"),
+        ("geometry two_block\ncoeff matrix 1 where x < 1 and", "line 2"),
+        ("geometry two_block\ncoeff matrix 1 when x < 1", "line 2"),
+        ("geometry two_block\nbc pressure 1 on basement", "line 2"),
+        ("geometry two_block\nbc pressure 1 on matrix:left where x < 1",
+         "line 2"),
+        ("geometry two_block\ngeometry mesh", "line 2"),
+        ("geometry two_block\neps_mu 0", "line 2"),
     ]
     for text, needle in bad:
         with pytest.raises(ConfigError) as err:
@@ -131,6 +149,15 @@ def test_parse_requires_geometry_and_coefficients():
         parse_config("geometry two_block\ncoeff matrix 1.0")
     with pytest.raises(ConfigError, match="coeff"):
         parse_config("geometry two_block\nnx 2\nny 2")
+
+
+def test_last_geometry_line_wins():
+    # a two_block line after a mesh line leaves no mesh path behind
+    cfg = parse_config("geometry mesh a.msh\n" + BASE)
+    assert cfg.mesh_path is None
+    assert build_geometry(cfg).matrix.n_cells == 4 * cfg.nx * cfg.ny
+    cfg = parse_config(BASE + "geometry mesh a.msh\n")
+    assert cfg.mesh_path == "a.msh"
 
 
 def test_predicate_chain_and_conjunction():
@@ -259,12 +286,30 @@ def test_output_dir_from_environment(tmp_path, monkeypatch):
     assert all(str(tmp_path / "envout") in str(p) for p in result.outputs)
 
 
-def test_schur_solver_path_matches_saddle():
+def test_output_dir_directive_is_relative_to_the_config(tmp_path,
+                                                        monkeypatch):
+    monkeypatch.delenv("FAULTFLOW_OUTDIR", raising=False)
+    path = tmp_path / "cases" / "demo.cfg"
+    path.parent.mkdir()
+    path.write_text(BASE + "output_dir results\n")
+    cfg = load_config(path)
+    result = run_scenario(cfg)
+    assert (tmp_path / "cases" / "results" / "summary.csv").exists()
+    assert {p.parent for p in result.outputs} == {
+        tmp_path / "cases" / "results"
+    }
+
+
+def test_schur_solver_path_matches_saddle(tmp_path):
     cfg = parse_config(BASE)
     direct = run_scenario(cfg)
     cfg.solver = "schur"
-    iterative = run_scenario(cfg)
-    assert iterative.diagnostics["iterations"] > 0
+    iterative = run_scenario(cfg, output_dir=tmp_path)
+    iterations = iterative.diagnostics["iterations"]
+    assert iterations > 0
+    # the schur route's summary has an iterations row
+    summary = (tmp_path / "summary.csv").read_text().splitlines()
+    assert f"iterations,{iterations}" in summary
     assert np.allclose(
         direct.solution.matrix_pressure,
         iterative.solution.matrix_pressure,
@@ -368,7 +413,7 @@ def test_equidim_reference_maps_band_coefficients():
     assert strip_jump(0.4, 0.6) > 1.5 * strip_jump(0.0, 0.2)
 
 
-def test_sweep_produces_bounds_table(tmp_path):
+def test_sweep_produces_bounds_table(tmp_path, monkeypatch):
     cfg = parse_config(BASE)
     csv_path = tmp_path / "sweep.csv"
     rows = sweep(
@@ -402,6 +447,30 @@ def test_sweep_produces_bounds_table(tmp_path):
         output_path=tmp_path / "sweep2.csv",
     )
     assert (tmp_path / "sweep2.csv").read_text() == text
+
+    # a table that cannot be written once the rows are solved
+    def full_disk(*args, **kwargs):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr("faultflow.scenarios.open", full_disk, raising=False)
+    with pytest.raises(ConfigError, match="cannot write .*No space left"):
+        sweep(
+            cfg,
+            [0.1],
+            h=0.25,
+            h2=0.125,
+            eta_coarse=0.125,
+            modes=("literal",),
+            output_path=tmp_path / "sweep3.csv",
+        )
+
+
+def test_reference_and_sweep_need_a_two_block_scenario():
+    cfg = load_config(bundled_config("fault3d"))
+    with pytest.raises(ConfigError, match="needs a two_block scenario"):
+        equidim_reference(cfg, eta=0.1, eta_coarse=0.5)
+    with pytest.raises(ConfigError, match="needs a two_block scenario"):
+        sweep(cfg, [0.1])
 
 
 def test_sweep_covers_both_modes():

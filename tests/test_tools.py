@@ -1,7 +1,10 @@
 """The snapshot comparison tool: round-off passes, anything else fails.
-The benchmark's traced replay reproduces the public call."""
+The benchmark's traced replay reproduces the public call.  The line trace
+lists the lines no call reached."""
 
 import importlib.util
+import os
+import runpy
 import sys
 from pathlib import Path
 
@@ -23,6 +26,7 @@ def load(path: Path):
 
 
 compare_snapshots = load(ROOT / "tools" / "compare_snapshots.py")
+line_trace = load(ROOT / "tools" / "line_trace.py")
 
 VTK = """# vtk DataFile Version 2.0
 case fault
@@ -145,3 +149,31 @@ def test_benchmark_replay_reproduces_the_public_call(tmp_path):
             assert (
                 ops.check(op, ops.observe(op, outcome), state.expected) == []
             ), workload
+
+
+SYNTHETIC = '''"""A module whose one branch is never taken."""
+
+
+def sign(x):
+    # negative numbers
+    if x < 0:
+        return -1
+    return 1
+
+
+sign(2)
+'''
+
+
+def test_line_trace_lists_the_lines_no_call_reached(tmp_path):
+    path = tmp_path / "synthetic.py"
+    path.write_text(SYNTHETIC)
+    # comments and blank lines carry no code
+    assert line_trace.executable_lines(path) == {1, 4, 6, 7, 8, 11}
+    before = sys.gettrace()
+    result, missed = line_trace.trace(
+        [path], lambda: runpy.run_path(str(path))["sign"](3)
+    )
+    assert result == 1
+    assert sys.gettrace() is before
+    assert missed == [(os.path.realpath(path), 7)]

@@ -80,6 +80,58 @@ def test_writer_rejects_bad_fields(tmp_path):
 
 
 @pytest.mark.parametrize(
+    "values",
+    [
+        lambda n: np.full(n, 1 + 2j),
+        lambda n: np.full(n, "1.0"),
+        lambda n: np.full(n, None),
+    ],
+    ids=["complex", "string", "object"],
+)
+def test_writer_refuses_values_that_are_not_real(tmp_path, values):
+    fault = build_two_block_geometry(1, 1).fault
+    path = tmp_path / "bad.vtk"
+    with pytest.raises(MeshFormatError, match="field 'pressure' has dtype"):
+        write_vtk(path, fault, {"pressure": values(fault.n_cells)})
+    assert not path.exists()
+
+
+def test_a_section_with_no_rows_writes_no_line(tmp_path):
+    empty = SimplicialMesh(
+        2, [[0.0, 0.0], [1.0, 0.0], [0.0, 1.0]], np.zeros((0, 3), int)
+    )
+    path = tmp_path / "empty.vtk"
+    write_vtk(path, empty, {"pressure": np.zeros(0)})
+    assert path.read_text().splitlines()[6:] == [
+        "1.0 0.0 0.0",
+        "0.0 1.0 0.0",
+        "CELLS 0 0",
+        "CELL_TYPES 0",
+        "CELL_DATA 0",
+        "SCALARS pressure double 1",
+        "LOOKUP_TABLE default",
+    ]
+
+
+def test_writer_takes_bool_and_integer_fields_as_doubles(tmp_path):
+    fault = build_two_block_geometry(1, 1).fault
+    n = fault.n_cells
+    write_vtk(
+        tmp_path / "ints.vtk",
+        fault,
+        {"flag": np.arange(n) % 2 == 0, "index": np.arange(n, dtype=np.uint8)},
+    )
+    write_vtk(
+        tmp_path / "floats.vtk",
+        fault,
+        {"flag": (np.arange(n) % 2 == 0) * 1.0, "index": np.arange(n) * 1.0},
+    )
+    assert (tmp_path / "ints.vtk").read_bytes() == (
+        tmp_path / "floats.vtk"
+    ).read_bytes()
+
+
+@pytest.mark.parametrize(
     "name,title,named",
     [
         ("bad\tname", "output", "bad\tname"),
