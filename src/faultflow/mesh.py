@@ -537,14 +537,19 @@ def _tag_box(mesh: SimplicialMesh, faces: np.ndarray) -> None:
     mesh.boundary_tags.update(zip(faces.tolist(), tags.tolist()))
 
 
+def _tag_layer_ends(mesh: SimplicialMesh, faces: np.ndarray) -> None:
+    """Tag ``faces`` at the ends of a layer spanning 0 < y < 1 as y0
+    (bottom) or y1 (top)."""
+    ends = np.where(mesh.face_centroids()[faces, 1] < 0.5, "y0", "y1")
+    mesh.boundary_tags.update(zip(faces.tolist(), ends.tolist()))
+
+
 def _segment_mesh(n: int) -> SimplicialMesh:
     ys = np.linspace(0.0, 1.0, n + 1)
     verts = np.column_stack([np.ones(n + 1), ys, np.zeros(n + 1)])
     cells = np.column_stack([np.arange(n), np.arange(1, n + 1)])
     mesh = SimplicialMesh(1, verts, cells)
-    fc = mesh.face_centroids()
-    for f in mesh.boundary_faces():
-        mesh.boundary_tags[int(f)] = "y0" if fc[f, 1] < 0.5 else "y1"
+    _tag_layer_ends(mesh, mesh.boundary_faces())
     return mesh
 
 
@@ -609,26 +614,32 @@ def build_layered_equidim_mesh(
     eps_mu: float,
     eps_gamma: float,
     eta: float,
-    eta_coarse: float | None = None,
+    eta_coarse: float,
 ) -> SimplicialMesh:
     """Triangulation of (0, 2) x (0, 1) with the fault structure resolved.
 
     Three vertical strips around x = 1 (damage, fault, damage, of widths
     ``eps_mu``, ``eps_gamma``, ``eps_mu``) are meshed conformingly with cell
-    size ``eta`` across, the surrounding matrix graded up to ``eta_coarse``
-    (default: ungraded, ``eta`` everywhere).  Every cell carries exactly one
-    region label out of {matrix, damage_left, fault, damage_right}.
+    size ``eta`` across, the surrounding matrix graded up to ``eta_coarse``.
+    Every cell carries exactly one region label out of {matrix,
+    damage_left, fault, damage_right}.  The outer boundary is tagged left,
+    right, bottom and top, except that each strip's bottom and top faces
+    are tagged y0 and y1, the ends of its layer.
     """
-    if eps_mu <= 0 or eps_gamma <= 0:
+    if not (eps_mu > 0 and eps_gamma > 0):  # so that NaN fails
         raise MeshError("strip thicknesses must be positive")
+    if not 2 * eps_mu + eps_gamma < 1.0:
+        raise MeshError("fault structure wider than the blocks around it")
+    if not (0 < eta < math.inf and 0 < eta_coarse < math.inf):
+        raise MeshError(
+            f"mesh sizes {eta!r}, {eta_coarse!r} must be finite and positive"
+        )
     if eta > eps_gamma:
         raise MeshError(
             f"mesh size {eta} exceeds the fault thickness {eps_gamma}; the "
             "fault strip must be resolved by at least one cell"
         )
-    if 2 * eps_mu + eps_gamma >= 1.0:
-        raise MeshError("fault structure wider than the blocks around it")
-    eta_coarse = eta if eta_coarse is None else max(eta, eta_coarse)
+    eta_coarse = max(eta, eta_coarse)
 
     a = 1.0 - eps_gamma / 2.0 - eps_mu
     b = 1.0 - eps_gamma / 2.0
@@ -661,7 +672,10 @@ def build_layered_equidim_mesh(
     regions[(centroids_x > c) & (centroids_x < d)] = "damage_right"
 
     mesh = SimplicialMesh(2, verts, cells, cell_regions=regions)
-    _tag_box(mesh, mesh.boundary_faces())
+    faces = mesh.boundary_faces()
+    _tag_box(mesh, faces)
+    strip = regions[mesh.face_cells[faces, 0]] != "matrix"
+    _tag_layer_ends(mesh, faces[strip])
     return mesh
 
 

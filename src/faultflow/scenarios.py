@@ -19,13 +19,14 @@ A scenario lives in a small text file, one directive per line:
     bc flux 0 on fault:y0
     bc pressure 4 on matrix where x <= 0 and z > 90
 
-``coeff`` lines assign a conductivity table entry to a region (later lines
-override earlier ones where their predicate matches); ``mode`` decides how
-the table becomes resistances.  ``bc`` lines address external boundary
-faces of a domain either by mesh tag or by a centroid predicate; the
-domains ``damage`` and ``layers`` fan out to both damage sides (plus the
-fault for ``layers``).  Unaddressed external faces are zero-flux.
-Predicates chain comparisons on x, y, z joined by ``and``.
+``coeff`` and ``bc`` lines are one kind of ``Rule``: a coeff rule sets the
+conductivity of a region's cells, a bc rule the pressure or flux of a
+domain's external boundary faces, by tag or by centroid predicate.
+``damage`` and ``layers`` fan out to both damage sides (plus the fault for
+``layers``).  One evaluator gives each cell or face the last rule that
+matches it, for ``run`` and the sweep's reference alike.  ``mode`` decides
+how conductivities become resistances; unaddressed external faces are
+zero-flux.  Predicates chain comparisons on x, y, z joined by ``and``.
 
 ``run_scenario`` solves one configuration and, given an output directory,
 writes one VTK file per domain plus a key,value summary.csv whose floats
@@ -175,15 +176,12 @@ def _parse_predicate(text: str, line: int) -> Predicate:
 
 
 @dataclass
-class CoeffRule:
-    region: str
-    value: float
-    predicate: Predicate | None
-    line: int
+class Rule:
+    """One coeff or bc line.  ``kind`` is coeff, pressure or flux; the
+    rule sets ``value`` on the cells (coeff) or external boundary faces
+    (pressure, flux) of ``domain`` that carry ``tag`` or whose centroid
+    satisfies ``predicate``; ``line`` is its line in the scenario."""
 
-
-@dataclass
-class BcRule:
     kind: str
     value: float
     domain: str
@@ -204,8 +202,8 @@ class RunConfig:
     solver: str = "saddle"
     output_dir: str | None = None
     base_dir: Path = field(default_factory=Path)
-    coeff_rules: list[CoeffRule] = field(default_factory=list)
-    bc_rules: list[BcRule] = field(default_factory=list)
+    coeff_rules: list[Rule] = field(default_factory=list)
+    bc_rules: list[Rule] = field(default_factory=list)
 
 
 def _number(token: str, line: int, what: str) -> float:
@@ -221,6 +219,52 @@ def _number(token: str, line: int, what: str) -> float:
     return value
 
 
+# one pattern per rule directive, each with the form it asks for, what its
+# domain is called and the domains it may name; all end in one where tail
+_WHERE = r"(?:\s+where\s+(?P<where>.+))?$"
+_RULE_GRAMMAR = {
+    "coeff": (r"(?P<domain>\S+)\s+(?P<value>\S+)", "coeff <region> <value>",
+              "region", _COEFF_REGIONS),
+    "bc": (r"(?P<kind>pressure|flux)\s+(?P<value>\S+)\s+on\s+"
+           r"(?P<domain>[^\s:]+)(?::(?P<tag>\S*))?",
+           "bc pressure|flux <value> on <domain>[:<tag>]",
+           "domain", _BC_DOMAINS),
+}
+
+
+def _parse_rule(head: str, body: str, line: int) -> Rule:
+    """The rule a coeff or bc line states, ``body`` being the line after
+    its directive word."""
+    pattern, form, noun, domains = _RULE_GRAMMAR[head]
+    m = re.match(pattern + _WHERE, body)
+    if not m:
+        raise ConfigError(
+            f"line {line}: expected '{form} [where <predicate>]'"
+        )
+    fields = m.groupdict()
+    kind, tag = fields.get("kind", head), fields.get("tag")
+    domain, where = m["domain"], m["where"]
+    value = _number(m["value"], line, "value")
+    if kind == "coeff" and value <= 0:
+        raise ConfigError(f"line {line}: coeff value must be positive")
+    if domain not in domains:
+        raise ConfigError(
+            f"line {line}: unknown {noun} {domain!r} "
+            f"(one of {', '.join(domains)})"
+        )
+    if tag is not None:
+        allowed = _MATRIX_TAGS if domain == "matrix" else _LAYER_TAGS
+        if tag not in allowed:
+            raise ConfigError(
+                f"line {line}: tag {tag!r} is not valid for {domain} "
+                f"(one of {', '.join(allowed)})"
+            )
+        if where:
+            raise ConfigError(f"line {line}: give either a tag or a predicate")
+    predicate = _parse_predicate(where, line) if where else None
+    return Rule(kind, value, domain, tag, predicate, line)
+
+
 def parse_config(text: str, name: str = "scenario",
                  base_dir: Path | None = None) -> RunConfig:
     config = RunConfig(name=name, base_dir=base_dir or Path("."))
@@ -232,75 +276,9 @@ def parse_config(text: str, name: str = "scenario",
         head, *rest = line.split(None, 1)
         body = rest[0] if rest else ""
 
-        if head == "coeff":
-            parts = body.split(None, 2)
-            if len(parts) < 2:
-                raise ConfigError(
-                    f"line {lineno}: coeff needs a region and a value"
-                )
-            region, value = parts[0], _number(parts[1], lineno, "value")
-            if value <= 0:
-                raise ConfigError(
-                    f"line {lineno}: coeff value must be positive"
-                )
-            if region not in _COEFF_REGIONS:
-                raise ConfigError(
-                    f"line {lineno}: unknown region {region!r} "
-                    f"(one of {', '.join(_COEFF_REGIONS)})"
-                )
-            predicate = None
-            if len(parts) == 3:
-                word, *where = parts[2].split(None, 1)
-                if word != "where":
-                    raise ConfigError(
-                        f"line {lineno}: expected 'where', got {parts[2]!r}"
-                    )
-                predicate = _parse_predicate("".join(where), lineno)
-            config.coeff_rules.append(
-                CoeffRule(region, value, predicate, lineno)
-            )
-
-        elif head == "bc":
-            m = re.match(
-                r"(pressure|flux)\s+(\S+)\s+on\s+(\S+?)(?:\s+where\s+(.+))?$",
-                body,
-            )
-            if not m:
-                raise ConfigError(
-                    f"line {lineno}: expected "
-                    "'bc pressure|flux <value> on <domain>[:<tag>]' or "
-                    "'... on <domain> where <predicate>'"
-                )
-            kind, value_token, target, where = m.groups()
-            value = _number(value_token, lineno, "value")
-            domain, colon, tag = target.partition(":")
-            if domain not in _BC_DOMAINS:
-                raise ConfigError(
-                    f"line {lineno}: unknown domain {domain!r} "
-                    f"(one of {', '.join(_BC_DOMAINS)})"
-                )
-            if colon and not tag:
-                raise ConfigError(f"line {lineno}: {target!r} has no tag")
-            tag = tag or None
-            if tag and where:
-                raise ConfigError(
-                    f"line {lineno}: give either a tag or a predicate"
-                )
-            if tag:
-                allowed = (
-                    _MATRIX_TAGS if domain == "matrix" else _LAYER_TAGS
-                )
-                if tag not in allowed:
-                    raise ConfigError(
-                        f"line {lineno}: tag {tag!r} is not valid for "
-                        f"{domain} (one of {', '.join(allowed)})"
-                    )
-            predicate = (
-                _parse_predicate(where, lineno) if where else None
-            )
-            config.bc_rules.append(
-                BcRule(kind, value, domain, tag, predicate, lineno)
-            )
+        if head in _RULE_GRAMMAR:
+            rules = config.coeff_rules if head == "coeff" else config.bc_rules
+            rules.append(_parse_rule(head, body, lineno))
 
         elif head == "geometry":
             parts = body.split(None, 1)
@@ -419,16 +397,30 @@ def _domain_targets(domain: str) -> list[str]:
     return [domain]
 
 
-def _coefficient_table(rules, centroids, regions) -> tuple:
-    """Conductivity per cell from the coeff rules, later rules overriding
-    earlier ones where their predicate matches, and each cell's rule
-    index.  ``regions`` labels every cell with its domain name."""
-    winner = np.full(len(regions), -1)
+def _winners(rules, domains, centroids, tags=None) -> tuple:
+    """The rule deciding each entity (a cell or a boundary face), later
+    rules overriding earlier ones: its index in ``rules``, -1 where no rule
+    matches; and, per rule, whether it matched any entity.  An entity is
+    given by its domain name, its centroid and, for a face, its mesh tag.
+    A rule matches it through its domain (``damage`` and ``layers`` fan
+    out), then its tag (``boundary`` matches any) and its predicate."""
+    winner = np.full(len(domains), -1)
+    matched = np.zeros(len(rules), dtype=bool)
     for i, rule in enumerate(rules):
-        mask = np.isin(regions, _domain_targets(rule.region))
-        if rule.predicate:
+        mask = np.isin(domains, _domain_targets(rule.domain))
+        if rule.tag not in (None, "boundary"):
+            mask &= tags == rule.tag
+        if rule.predicate is not None:
             mask &= rule.predicate.mask(centroids)
         winner[mask] = i
+        matched[i] = mask.any()
+    return winner, matched
+
+
+def _coefficient_table(rules, regions, centroids) -> tuple:
+    """Conductivity per cell from the coeff rules, and each cell's rule
+    index.  ``regions`` labels every cell with its domain name."""
+    winner, _ = _winners(rules, regions, centroids)
     uncovered = winner < 0
     if uncovered.any():
         region = regions[np.argmax(uncovered)]
@@ -447,8 +439,8 @@ def resolve_coefficients(
     counts = [mesh.n_cells for mesh in meshes.values()]
     k, winners = _coefficient_table(
         config.coeff_rules,
-        np.concatenate([mesh.cell_centroids() for mesh in meshes.values()]),
         np.repeat(list(meshes), counts),
+        np.concatenate([mesh.cell_centroids() for mesh in meshes.values()]),
     )
     cuts = np.cumsum(counts)[:-1]
     try:
@@ -465,34 +457,16 @@ def resolve_coefficients(
         raise ConfigError(f"line {rule.line}: {exc}") from None
 
 
-def _boundary_rules(rules, domains, tags, centroids) -> tuple:
-    """The bc rule deciding each boundary face, later rules overriding
-    earlier ones.  A face is given by its domain name, its mesh tag and its
-    centroid; a rule matches it through its domain (``damage`` and
-    ``layers`` fan out), then its tag (``boundary`` matches any) or its
-    predicate.  Returns the winning rule per face (None where no rule
-    matches) and, per rule, whether it matched any face."""
-    winner = np.full(len(domains), -1)
-    matched = np.zeros(len(rules), dtype=bool)
-    for i, rule in enumerate(rules):
-        mask = np.isin(domains, _domain_targets(rule.domain))
-        if rule.tag not in (None, "boundary"):
-            mask &= tags == rule.tag
-        if rule.predicate is not None:
-            mask &= rule.predicate.mask(centroids)
-        winner[mask] = i
-        matched[i] = mask.any()
-    return [rules[i] if i >= 0 else None for i in winner.tolist()], matched
-
-
-def _split_by_kind(keys, winners, measures) -> tuple[dict, dict]:
-    """Pressure and flux data (key -> value) of the faces a rule won.  A
-    flux rule whose net flux (density times the face's measure) overflows
-    on a face it won is a config error at its line."""
+def _split_by_kind(rules, keys, winner, measures) -> tuple[dict, dict]:
+    """Pressure and flux data (key -> value) of the faces a rule won, as
+    ``winner`` indexes ``rules``.  A flux rule whose net flux (density
+    times the face's measure) overflows on a face it won is a config error
+    at its line."""
     data = {"pressure": {}, "flux": {}}
-    for key, rule, measure in zip(keys, winners, measures):
-        if rule is None:
+    for key, i, measure in zip(keys, winner.tolist(), measures):
+        if i < 0:
             continue
+        rule = rules[i]
         if rule.kind == "flux" and not math.isfinite(rule.value * measure):
             raise ConfigError(
                 f"line {rule.line}: flux {rule.value:g} on a face of "
@@ -510,11 +484,11 @@ def resolve_boundary_conditions(
     keys = [(dom, f) for dom in meshes for f in external[dom].tolist()]
     tags = [meshes[dom].boundary_tags.get(f) for dom, f in keys]
     centroids = [meshes[dom].face_centroids()[external[dom]] for dom in meshes]
-    winners, matched = _boundary_rules(
+    winner, matched = _winners(
         config.bc_rules,
         np.array([dom for dom, _ in keys]),
-        np.array(tags, dtype=object),
         np.concatenate(centroids),
+        np.array(tags, dtype=object),
     )
     if not matched.all():
         rule = config.bc_rules[int(np.argmin(matched))]
@@ -523,7 +497,7 @@ def resolve_boundary_conditions(
         )
     measures = [meshes[dom].face_measures[external[dom]] for dom in meshes]
     pressure, flux = _split_by_kind(
-        keys, winners, np.concatenate(measures).tolist()
+        config.bc_rules, keys, winner, np.concatenate(measures).tolist()
     )
     return BoundaryConditions(pressure=pressure, flux=flux)
 
@@ -714,7 +688,7 @@ def equidim_reference(
     )
 
     k, winners = _coefficient_table(
-        config.coeff_rules, mesh.cell_centroids(), mesh.cell_regions
+        config.coeff_rules, mesh.cell_regions, mesh.cell_centroids()
     )
     # strips meshed at their physical width: the along rule at t = 1
     try:
@@ -723,18 +697,16 @@ def equidim_reference(
         rule = config.coeff_rules[winners[exc.cell]]
         raise ConfigError(f"line {rule.line}: {exc}") from None
 
-    # a boundary face takes the data of its owner cell's domain; on a
-    # strip, the bottom and top faces are that layer's y0 and y1 ends
-    faces = mesh.boundary_faces()
-    homes = mesh.cell_regions[mesh.face_cells[faces, 0]]
-    tags = np.array([mesh.boundary_tags[f] for f in faces.tolist()])
-    strip = homes != "matrix"
-    tags[strip] = np.where(tags[strip] == "top", "y1", "y0")
-    winners, _ = _boundary_rules(
-        config.bc_rules, homes, tags, mesh.face_centroids()[faces]
+    # a boundary face takes the data of its owner cell's domain
+    faces, rules = mesh.boundary_faces(), config.bc_rules
+    winner, _ = _winners(
+        rules,
+        mesh.cell_regions[mesh.face_cells[faces, 0]],
+        mesh.face_centroids()[faces],
+        np.array([mesh.boundary_tags[f] for f in faces.tolist()]),
     )
     pressure_bc, flux_bc = _split_by_kind(
-        faces.tolist(), winners, mesh.face_measures[faces].tolist()
+        rules, faces.tolist(), winner, mesh.face_measures[faces].tolist()
     )
     solution = solve_equidim(
         mesh, resist, pressure_bc=pressure_bc, flux_bc=flux_bc
@@ -778,11 +750,11 @@ def sweep(
     spacings ``h`` and ``h2``, solve the layered reference with strip
     resolution ``eps / 4``, and record the error bracket.  Every thickness
     and spacing must be finite and positive, the fault structure (two
-    damage layers and the core, 3 eps) narrower than the unit blocks, and
-    1/h and 1/h2 must lie within 1e-9 of a whole number of cells, and
-    ``output_path`` may not be a directory and its parent directory must
-    exist or be creatable (ConfigError otherwise, before any solve; so is
-    a table that cannot be written).
+    damage layers and the core, 3 eps) narrower than the unit blocks, eps/4
+    not rounded to 0, and 1/h and 1/h2 must lie within 1e-9 of a whole
+    number of cells, and ``output_path`` may not be a directory and its
+    parent directory must exist or be creatable (ConfigError otherwise,
+    before any solve; so is a table that cannot be written).
     """
     if config.mesh_path is not None:
         raise ConfigError("sweep needs a two_block scenario")
@@ -805,6 +777,11 @@ def sweep(
             raise ConfigError(
                 f"sweep eps {eps!r} is too wide: the damage layers and the "
                 "fault core (3 eps) must be narrower than the unit blocks"
+            )
+        if not 0.25 * eps > 0:
+            raise ConfigError(
+                f"sweep eps {eps!r} is too thin: its strip mesh size eps/4 "
+                "rounds to 0"
             )
     grids = []
     for name, spacing in (("h", float(h)), ("h2", float(h2))):

@@ -25,8 +25,8 @@ def write_vtk(path, mesh: SimplicialMesh, cell_data: dict | None = None,
 
     Raises MeshFormatError, before the file is opened, on a title that is
     not one non-blank line, a field name that is not a string, is empty or
-    holds whitespace, or a field that is not bool, integer or float or has
-    another shape.
+    holds whitespace, or a field that is not bool, integer or float (a
+    ragged sequence counts as dtype object) or has another shape.
     """
     if title.splitlines() != [title] or title.isspace():
         raise MeshFormatError(f"title {title!r} is not one non-blank line")
@@ -37,7 +37,10 @@ def write_vtk(path, mesh: SimplicialMesh, cell_data: dict | None = None,
                 f"field name {name!r} is not a string, is empty or contains "
                 "spaces, tabs or line breaks"
             )
-        arr = np.asarray(values)
+        try:
+            arr = np.asarray(values)
+        except ValueError:  # ragged: refused below as an object array
+            arr = np.empty(0, dtype=object)
         if arr.dtype.kind not in "biuf":
             raise MeshFormatError(
                 f"field {name!r} has dtype {arr.dtype}, expected bool, "

@@ -364,7 +364,7 @@ def test_sweep_out_on_a_directory_is_refused_before_solving(
     assert err == f"error: cannot write {tmp_path}: it is a directory\n"
 
 
-def test_sweep_rejects_bad_eps(mini_config, capsys):
+def test_sweep_rejects_bad_eps(mini_config, capsys, monkeypatch):
     assert main(["sweep", str(mini_config), "--eps", "fast"]) == 1
     assert "--eps" in capsys.readouterr().err
     assert main(["sweep", str(mini_config), "--eps", ","]) == 1
@@ -388,6 +388,14 @@ def test_sweep_rejects_bad_eps(mini_config, capsys):
     # failure
     assert main(["sweep", str(mini_config), "--eps", "1e-2,0.4"]) == 1
     assert "sweep eps 0.4 is too wide" in capsys.readouterr().err
+    # a strip size eps/4 that rounds to 0 would grade the reference mesh
+    # forever; it is refused before the first row solves
+    monkeypatch.setattr("faultflow.scenarios.equidim_reference", _no_solve)
+    assert main(["sweep", str(mini_config), "--eps", "1e-2,5e-324"]) == 1
+    assert capsys.readouterr().err == (
+        "error: sweep eps 5e-324 is too thin: its strip mesh size eps/4 "
+        "rounds to 0\n"
+    )
 
 
 def test_usage_error_exits_1():

@@ -92,7 +92,7 @@ def test_owner_sign_is_plus_one_on_every_face():
     # boundary term needs a per-face sign
     meshes = [
         *build_two_block_geometry(4, 3).domains.values(),
-        build_layered_equidim_mesh(0.05, 0.02, 0.02),
+        build_layered_equidim_mesh(0.05, 0.02, 0.02, eta_coarse=0.02),
         *import_mesh(BUNDLED_3D).domains.values(),
     ]
     for mesh in meshes:
@@ -104,7 +104,7 @@ def test_owner_sign_is_plus_one_on_every_face():
 
 def test_closed_polytope_and_unit_normals():
     geom = build_two_block_geometry(5, 3)
-    eq = build_layered_equidim_mesh(0.05, 0.02, 0.02)
+    eq = build_layered_equidim_mesh(0.05, 0.02, 0.02, eta_coarse=0.02)
     for mesh in (geom.matrix, geom.damage["left"], geom.fault, eq):
         mesh.validate()
         norms = np.linalg.norm(mesh.face_normals, axis=1)
@@ -491,7 +491,7 @@ def test_two_block_grid_needs_a_cell_per_direction(n_x, n_y):
 
 
 def test_layered_mesh_strip_resolution():
-    mesh = build_layered_equidim_mesh(1e-2, 1e-2, 5e-3)
+    mesh = build_layered_equidim_mesh(1e-2, 1e-2, 5e-3, eta_coarse=5e-3)
     regions = mesh.cell_regions
     assert set(regions) == {"matrix", "damage_left", "fault", "damage_right"}
     # fault strip of width 1e-2 at size 5e-3: at least two cell columns
@@ -527,17 +527,40 @@ def test_layered_mesh_region_containment():
 
 
 @pytest.mark.parametrize(
-    "eps_mu,eps_gamma,eta,message",
+    "eps_mu,eps_gamma,eta,eta_coarse,message",
     [
-        (1e-2, 1e-2, 2e-2, "exceeds the fault thickness"),
-        (0.0, 1e-2, 1e-2, "thicknesses must be positive"),
-        (1e-2, -1e-2, 1e-2, "thicknesses must be positive"),
-        (0.3, 0.4, 0.1, "wider than the blocks"),
+        (1e-2, 1e-2, 2e-2, 2e-2, "exceeds the fault thickness"),
+        (0.0, 1e-2, 1e-2, 1e-2, "thicknesses must be positive"),
+        (1e-2, -1e-2, 1e-2, 1e-2, "thicknesses must be positive"),
+        (math.nan, 1e-2, 1e-2, 0.1, "thicknesses must be positive"),
+        (1e-2, math.nan, 1e-2, 0.1, "thicknesses must be positive"),
+        (0.3, 0.4, 0.1, 0.1, "wider than the blocks"),
+        # a zero or negative strip size would grade the matrix forever
+        (1e-2, 1e-2, 0.0, 0.1, "must be finite and positive"),
+        (1e-2, 1e-2, -1e-3, 0.1, "must be finite and positive"),
+        (1e-2, 1e-2, math.nan, 0.1, "must be finite and positive"),
+        (1e-2, 1e-2, 1e-2, 0.0, "must be finite and positive"),
+        (1e-2, 1e-2, 1e-2, math.nan, "must be finite and positive"),
+        (1e-2, 1e-2, 1e-2, math.inf, "must be finite and positive"),
     ],
 )
-def test_layered_mesh_rejects_bad_strips(eps_mu, eps_gamma, eta, message):
+def test_layered_mesh_rejects_bad_strips(
+    eps_mu, eps_gamma, eta, eta_coarse, message
+):
     with pytest.raises(MeshError, match=message):
-        build_layered_equidim_mesh(eps_mu, eps_gamma, eta)
+        build_layered_equidim_mesh(eps_mu, eps_gamma, eta, eta_coarse)
+
+
+def test_layered_mesh_tags_strip_ends_as_layer_ends():
+    mesh = build_layered_equidim_mesh(0.2, 0.1, eta=0.05, eta_coarse=0.25)
+    faces = mesh.boundary_faces()
+    homes = mesh.cell_regions[mesh.face_cells[faces, 0]]
+    ys = mesh.face_centroids()[faces, 1]
+    tags = np.array([mesh.boundary_tags[f] for f in faces.tolist()])
+    strip = homes != "matrix"
+    assert set(homes[strip]) == {"damage_left", "fault", "damage_right"}
+    assert np.array_equal(tags[strip], np.where(ys[strip] < 0.5, "y0", "y1"))
+    assert set(tags[~strip]) == {"left", "right", "bottom", "top"}
 
 
 def test_layered_mesh_grading_keeps_conformity():

@@ -85,8 +85,9 @@ def test_writer_rejects_bad_fields(tmp_path):
         lambda n: np.full(n, 1 + 2j),
         lambda n: np.full(n, "1.0"),
         lambda n: np.full(n, None),
+        lambda n: [1.0, [2.0]],
     ],
-    ids=["complex", "string", "object"],
+    ids=["complex", "string", "object", "ragged"],
 )
 def test_writer_refuses_values_that_are_not_real(tmp_path, values):
     fault = build_two_block_geometry(1, 1).fault
